@@ -8,7 +8,9 @@
   signature against a security spec (default: the Mozilla-flavored one).
 
 :func:`vet` runs all three and returns a :class:`VettingReport`, which is
-what the CLI and the evaluation harness consume. :func:`diff_vet` is the
+what the CLI and the evaluation harness consume. It is the only stage
+sequence: single files and WebExtension bundles differ only in their
+front end (:func:`front_end`). :func:`diff_vet` is the
 *update*-shaped entry: given an approved old version and a new version,
 it tries the incremental fast lane (change-surface certificate, see
 :mod:`repro.diffvet.incremental`) and otherwise re-analyzes and
@@ -76,11 +78,11 @@ class VettingReport:
     """Everything the vetter sees for one addon.
 
     When the relevance prefilter proved the addon trivially safe
-    (``prefiltered=True``), the heavyweight phases never ran:
-    ``result`` and ``pdg`` are ``None`` and the signature is empty.
+    (``prefiltered=True``), the heavyweight phases never ran: nothing
+    was lowered, ``result`` and ``pdg`` are ``None`` and the signature
+    is empty.
     """
 
-    program: ProgramIR
     result: AnalysisResult | None
     pdg: PDG | None
     detail: InferenceDetail
@@ -142,7 +144,7 @@ class VettingReport:
             lines.append(f"unresolved callees at {len(self.unknown_calls)} call site(s)")
         if self.result is not None:
             for tag, sid in sorted(self.result.diagnostics):
-                line = self.program.stmts[sid].line
+                line = self.result.program.stmts[sid].line
                 lines.append(f"diagnostic: {tag} at line {line}")
         if self.comparison is not None:
             lines.append(self.comparison.render())
@@ -152,6 +154,54 @@ class VettingReport:
 def infer_signature(source: str, spec: SecuritySpec | None = None, k: int = 1) -> Signature:
     """One-call convenience: addon source -> inferred signature."""
     return vet(source, spec=spec, k=k).signature
+
+
+class SingleFileFrontEnd:
+    """The front end for one JavaScript file (the paper's addons).
+
+    A front end owns the four points where :func:`vet` differs by input
+    kind: parsing and lowering, the environment, the default spec, and
+    the extra counters plus post-inference pass. The bundle front end
+    is :class:`repro.webext.pipeline.BundleFrontEnd`.
+    """
+
+    environment = BrowserEnvironment
+    default_spec = staticmethod(mozilla_spec)
+
+    def parse_files(self, source: str, recover: bool):
+        """``(trees, skips)``: the parsed files and the recovery skips
+        as ``(path, skipped statement)`` pairs (``path`` is ``None``
+        for a single file)."""
+        if recover:
+            tree, skipped = parse_with_recovery(source)
+            return (tree,), [(None, skip) for skip in skipped]
+        return (parse(source),), []
+
+    def lower_files(self, trees) -> ProgramIR:
+        """Lower ``trees`` (the parsed files, or their pruned versions)."""
+        (tree,) = trees
+        return lower(tree, event_loop=True)
+
+    def post_inference(self, result, pdg, detail: InferenceDetail) -> InferenceDetail:
+        """Refine the inferred signature before salvage widening."""
+        return detail
+
+    def counters(self, result: AnalysisResult | None) -> dict[str, int]:
+        """Extra counters; ``result`` is ``None`` on the prefiltered path."""
+        return {}
+
+
+def front_end(source: str):
+    """The front end for ``source``: serialized WebExtension bundles
+    (``repro.webext.loader``) get the bundle front end, everything else
+    the single-file one."""
+    from repro.webext.loader import is_bundle_text
+
+    if is_bundle_text(source):
+        from repro.webext.pipeline import BundleFrontEnd
+
+        return BundleFrontEnd()
+    return SingleFileFrontEnd()
 
 
 def vet(
@@ -177,12 +227,12 @@ def vet(
     remainder analyzed, and the report flagged degraded.
 
     ``prefilter`` turns on the sound relevance prefilter
-    (:func:`repro.lint.surface.decide_relevance`): an addon whose
+    (:func:`repro.lint.surface.decide_relevance_many`): an addon whose
     syntactic surface cannot reach the spec — no shared names, no
     dynamic code, no dynamic property access, no recovery skips — gets
-    the trivially-empty signature without running the interpreter. Any
-    disqualifier falls back to the full pipeline, so the result is
-    bit-identical either way (proven addon-by-addon in
+    the trivially-empty signature without lowering or running the
+    interpreter. Any disqualifier falls back to the full pipeline, so
+    the result is bit-identical either way (proven addon-by-addon in
     ``tests/lint/test_prefilter_soundness.py``).
 
     ``preanalysis`` (on by default; ``--no-preanalysis`` in the CLI)
@@ -193,128 +243,103 @@ def vet(
     interpreter ever sees them (signature-preserving — proven
     bit-identical in ``tests/preanalysis``), and the report gains the
     ``resolved_sites`` / ``residual_dynamic_sites`` / ``pruned_nodes`` /
-    ``callgraph_edges`` counters.
+    ``callgraph_edges`` counters. For a bundle it runs over the union
+    of all component files: a content script may hold the only
+    reference to a background function's property name.
 
     ``source`` may also be a serialized WebExtension bundle (the
     ``repro.webext.loader`` text form produced by ``load_source`` on an
-    extension directory): those route through the multi-file pipeline
-    with the chrome environment and, unless overridden, the WebExt spec.
-    Carrying bundles as plain text keeps every downstream consumer —
-    batch runner, vetting service, differential vetting — free of
-    special cases.
+    extension directory): the same stages then run behind the bundle
+    front end (:func:`front_end`) — multi-file lowering, the chrome
+    environment, by default the WebExt spec, and the sender-guard
+    downgrade. Carrying bundles as plain text keeps every downstream
+    consumer — batch runner, vetting service, differential vetting —
+    free of special cases.
     """
-    from repro.lint.surface import decide_relevance
-    from repro.webext.loader import is_bundle_text
+    from repro.lint.surface import decide_relevance_many
 
-    if is_bundle_text(source):
-        from repro.webext.pipeline import vet_extension
-
-        return vet_extension(
-            source,
-            manual=manual,
-            real_extras=real_extras,
-            spec=spec,
-            k=k,
-            budget=budget,
-            recover=recover,
-            prefilter=prefilter,
-            preanalysis=preanalysis,
-        )
-
-    resolved_spec = spec if spec is not None else mozilla_spec()
-    degradations: list[Degradation] = []
+    front = front_end(source)
+    resolved_spec = spec if spec is not None else front.default_spec()
     start = time.perf_counter()
-    if recover:
-        syntax_tree, skipped = parse_with_recovery(source)
-        degradations.extend(
-            Degradation(
-                kind=(
-                    FailureKind.UNSUPPORTED_SYNTAX
-                    if skip.unsupported
-                    else FailureKind.PARSE_ERROR
-                ),
-                detail=f"skipped top-level statement: {skip.render()}",
-            )
-            for skip in skipped
+    trees, skipped = front.parse_files(source, recover)
+    degradations: list[Degradation] = [
+        Degradation(
+            kind=(
+                FailureKind.UNSUPPORTED_SYNTAX
+                if skip.unsupported
+                else FailureKind.PARSE_ERROR
+            ),
+            detail=(
+                "skipped top-level statement"
+                + (f" in {path}" if path is not None else "")
+                + f": {skip.render()}"
+            ),
         )
-    else:
-        syntax_tree = parse(source)
+        for path, skip in skipped
+    ]
     pre = None
     if preanalysis:
         from repro.preanalysis import preanalyze
 
-        pre = preanalyze([syntax_tree], degraded=bool(degradations))
+        pre = preanalyze(trees, degraded=bool(degradations))
     decision = None
     if prefilter:
-        decision = decide_relevance(
-            syntax_tree,
+        decision = decide_relevance_many(
+            trees,
             resolved_spec,
             degraded=bool(degradations),
             resolution=pre.resolution if pre is not None else None,
         )
-        if not decision.relevant:
-            after_parse = time.perf_counter()
-            detail = InferenceDetail(
-                signature=Signature(), provenance={}, source_statements={}
-            )
-            comparison = None
-            if manual is not None:
-                comparison = compare(detail.signature, manual, real_extras)
-            counters = Counters()
-            counters["prefiltered"] = 1
-            if pre is not None:
-                counters.update(pre.counters)
-            return VettingReport(
-                program=lower(syntax_tree, event_loop=True),
-                result=None,
-                pdg=None,
-                detail=detail,
-                ast_nodes=node_count(syntax_tree),
-                comparison=comparison,
-                phase_times=PhaseTimes(
-                    p1=after_parse - start, p2=0.0, p3=0.0
-                ),
-                counters=counters,
-                degradations=(),
-                prefiltered=True,
-                prefilter_decision=decision,
-                preanalysis=pre,
-            )
-    analysis_tree = syntax_tree
-    if pre is not None and pre.prune.pruned_nodes:
+    prefiltered = decision is not None and not decision.relevant
+    result = pdg = None
+    if prefiltered:
+        detail = InferenceDetail(
+            signature=Signature(), provenance={}, source_statements={}
+        )
+        after_p1 = after_p2 = after_p3 = time.perf_counter()
+    else:
         # Pruning is signature-preserving (tests/preanalysis proves
-        # bit-identity); the original tree still supplies ast_nodes so
+        # bit-identity); the original trees still supply ast_nodes so
         # the size metric stays the addon's, not the pruned residue's.
-        analysis_tree = pre.programs[0]
-    program = lower(analysis_tree, event_loop=True)
-    result = analyze(program, BrowserEnvironment(), k=k, budget=budget, salvage=True)
-    degradations.extend(result.degradations)
-    after_p1 = time.perf_counter()
-    pdg = build_pdg(result)
-    after_p2 = time.perf_counter()
-    detail = infer_detail(result, pdg, resolved_spec)
-    if degradations:
-        detail = widen_detail(detail, resolved_spec)
-    after_p3 = time.perf_counter()
+        pruned = pre is not None and pre.prune.pruned_nodes
+        program = front.lower_files(pre.programs if pruned else trees)
+        result = analyze(
+            program, front.environment(), k=k, budget=budget, salvage=True
+        )
+        degradations.extend(result.degradations)
+        after_p1 = time.perf_counter()
+        pdg = build_pdg(result)
+        after_p2 = time.perf_counter()
+        detail = front.post_inference(
+            result, pdg, infer_detail(result, pdg, resolved_spec)
+        )
+        if degradations:
+            detail = widen_detail(detail, resolved_spec)
+        after_p3 = time.perf_counter()
     comparison = None
     if manual is not None:
         comparison = compare(detail.signature, manual, real_extras)
-    counters = Counters(result.counters)
-    counters["pdg_edges"] = len(pdg.edges)
-    counters["pdg_cyclic_statements"] = len(pdg.cyclic)
-    counters["signature_entries"] = len(detail.signature.entries)
+    if result is None:
+        counters = Counters(prefiltered=1)
+    else:
+        counters = Counters(result.counters)
+        counters["pdg_edges"] = len(pdg.edges)
+        counters["pdg_cyclic_statements"] = len(pdg.cyclic)
+        counters["signature_entries"] = len(detail.signature.entries)
+    counters.update(front.counters(result))
     if degradations:
         counters["degradations"] = len(degradations)
     if pre is not None:
         counters.update(pre.counters)
     return VettingReport(
-        program=program,
         result=result,
         pdg=pdg,
         detail=detail,
-        ast_nodes=node_count(syntax_tree),
+        ast_nodes=sum(node_count(tree) for tree in trees),
         comparison=comparison,
-        unknown_calls=result.unknown_callees,
+        unknown_calls=(
+            result.unknown_callees if result is not None else frozenset()
+        ),
         phase_times=PhaseTimes(
             p1=after_p1 - start,
             p2=after_p2 - after_p1,
@@ -322,6 +347,7 @@ def vet(
         ),
         counters=counters,
         degradations=tuple(degradations),
+        prefiltered=prefiltered,
         prefilter_decision=decision,
         preanalysis=pre,
     )
@@ -395,26 +421,13 @@ def diff_vet(
     old version is vetted once here to establish the baseline.
     """
     from repro.diffvet.diff import diff_signatures
-    from repro.diffvet.incremental import ChangeCertificate, certify_unchanged
+    from repro.diffvet.incremental import certify_unchanged
     from repro.signatures.explain import explain_flow
-    from repro.webext.loader import is_bundle_text
 
-    if is_bundle_text(old_source) or is_bundle_text(new_source):
-        # Multi-file extension update: the change-surface certificate is
-        # defined over single JS files, so the fast lane is refused and
-        # both versions take the full (webext-routed) pipeline. The
-        # webext default spec applies when none was given.
-        from repro.browser.chrome import webext_spec
-
-        resolved_spec = spec if spec is not None else webext_spec()
-        certificate = ChangeCertificate(
-            certified=False, reason="refused:webext-bundle"
-        )
-    else:
-        resolved_spec = spec if spec is not None else mozilla_spec()
-        certificate = certify_unchanged(
-            old_source, new_source, resolved_spec, recover=recover
-        )
+    resolved_spec = spec if spec is not None else front_end(new_source).default_spec()
+    certificate = certify_unchanged(
+        old_source, new_source, resolved_spec, recover=recover
+    )
     old_report = None
     if old_signature is None:
         old_report = vet(

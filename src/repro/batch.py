@@ -408,7 +408,7 @@ def _fast_lane_outcome(
     and baselines come from clean (non-degraded) outcomes only — the
     :class:`~repro.diffvet.store.VersionStore` records nothing else.
     """
-    from repro.browser import mozilla_spec
+    from repro.api import front_end
     from repro.diffvet.incremental import certify_unchanged
     from repro.signatures import parse_signature
     from repro.signatures.compare import compare
@@ -416,7 +416,7 @@ def _fast_lane_outcome(
     assert task.baseline_source is not None
     assert task.baseline_signature_text is not None
     started = time.perf_counter()
-    resolved = spec if spec is not None else mozilla_spec()
+    resolved = spec if spec is not None else front_end(task.source).default_spec()
     certificate = certify_unchanged(
         task.baseline_source, task.source, resolved, recover=task.recover
     )

@@ -41,11 +41,10 @@ import argparse
 import sys
 
 
-def _resolve_spec(name: str, source: str):
-    """``--spec`` resolution: ``auto`` picks the WebExt spec for bundle
-    text and the Mozilla spec for plain sources; ``None`` defers to the
-    pipeline default (same outcome, but keeps api.vet's own default
-    logic authoritative)."""
+def _resolve_spec(name: str):
+    """``--spec`` resolution: ``auto`` (``None``) leaves the choice to
+    the front end's default spec (WebExt for bundle text, Mozilla for
+    plain sources)."""
     if name == "mozilla":
         from repro.browser import mozilla_spec
 
@@ -55,6 +54,31 @@ def _resolve_spec(name: str, source: str):
 
         return webext_spec()
     return None
+
+
+def _budget(arguments: argparse.Namespace):
+    """The ``--timeout`` / ``--max-steps`` budget, or ``None``."""
+    if arguments.timeout is None and arguments.max_steps is None:
+        return None
+    from repro.faults import Budget
+
+    return Budget(
+        max_steps=(
+            arguments.max_steps if arguments.max_steps is not None
+            else 400_000
+        ),
+        max_seconds=arguments.timeout,
+    )
+
+
+def _manual(arguments: argparse.Namespace):
+    """The ``--manual`` signature file, parsed, or ``None``."""
+    if not arguments.manual:
+        return None
+    from repro.signatures import parse_signature
+
+    with open(arguments.manual, encoding="utf-8") as handle:
+        return parse_signature(handle.read())
 
 
 def _load_source(path: str) -> str:
@@ -72,28 +96,11 @@ def _load_source(path: str) -> str:
 
 def _cmd_vet(arguments: argparse.Namespace) -> int:
     from repro.api import vet
-    from repro.faults import Budget
-    from repro.signatures import parse_signature
 
     source = _load_source(arguments.path)
-
-    manual = None
-    if arguments.manual:
-        with open(arguments.manual, encoding="utf-8") as handle:
-            manual = parse_signature(handle.read())
-
-    budget = None
-    if arguments.timeout is not None or arguments.max_steps is not None:
-        budget = Budget(
-            max_steps=(
-                arguments.max_steps if arguments.max_steps is not None
-                else 400_000
-            ),
-            max_seconds=arguments.timeout,
-        )
     report = vet(
-        source, manual=manual, spec=_resolve_spec(arguments.spec, source),
-        k=arguments.k, budget=budget, recover=arguments.recover,
+        source, manual=_manual(arguments), spec=_resolve_spec(arguments.spec),
+        k=arguments.k, budget=_budget(arguments), recover=arguments.recover,
         prefilter=arguments.prefilter, preanalysis=arguments.preanalysis,
     )
     print(report.render())
@@ -116,28 +123,11 @@ def _cmd_vet(arguments: argparse.Namespace) -> int:
 
 def _cmd_analyze(arguments: argparse.Namespace) -> int:
     from repro.api import vet
-    from repro.faults import Budget
-    from repro.signatures import parse_signature
 
     source = _load_source(arguments.file)
-
-    manual = None
-    if arguments.manual:
-        with open(arguments.manual, encoding="utf-8") as handle:
-            manual = parse_signature(handle.read())
-
-    budget = None
-    if arguments.timeout is not None or arguments.max_steps is not None:
-        budget = Budget(
-            max_steps=(
-                arguments.max_steps if arguments.max_steps is not None
-                else 400_000
-            ),
-            max_seconds=arguments.timeout,
-        )
     report = vet(
-        source, manual=manual, k=arguments.k,
-        budget=budget, recover=arguments.recover,
+        source, manual=_manual(arguments), k=arguments.k,
+        budget=_budget(arguments), recover=arguments.recover,
     )
     print(report.render())
 
@@ -166,23 +156,10 @@ def _cmd_diff(arguments: argparse.Namespace) -> int:
     import json
 
     from repro.api import diff_vet
-    from repro.faults import Budget
 
-    old_source = _load_source(arguments.old)
-    new_source = _load_source(arguments.new)
-
-    budget = None
-    if arguments.timeout is not None or arguments.max_steps is not None:
-        budget = Budget(
-            max_steps=(
-                arguments.max_steps if arguments.max_steps is not None
-                else 400_000
-            ),
-            max_seconds=arguments.timeout,
-        )
     report = diff_vet(
-        old_source, new_source, k=arguments.k,
-        budget=budget, recover=arguments.recover,
+        _load_source(arguments.old), _load_source(arguments.new), k=arguments.k,
+        budget=_budget(arguments), recover=arguments.recover,
     )
     if arguments.format == "json":
         payload = {

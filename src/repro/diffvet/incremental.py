@@ -14,6 +14,9 @@ to full re-analysis), never the other way around.
 
 The certificate holds when **all** of the following do:
 
+0. *Single files.* Neither version is a WebExtension bundle: the
+   argument is over one JavaScript file's top-level statements
+   (``refused:webext-bundle``).
 1. *Clean inputs.* Both versions parse completely — recovery-mode skips
    mean the AST under-approximates the program, so no syntactic
    argument about it is sound (``degraded-input``), and a parse error
@@ -47,7 +50,7 @@ The certificate holds when **all** of the following do:
    computed in it can reach an unchanged statement, and no value from
    outside can reach it.
 
-Under 1–5, every statement that any spec matcher can fire on is
+Under 0–5, every statement that any spec matcher can fire on is
 unchanged *and* computes over exactly the values it computed over in
 the approved version; the inferred signature — entries and prefix
 domains both — is therefore identical, and the approved signature can
@@ -71,6 +74,7 @@ from repro.js import node_count, parse, parse_with_recovery
 from repro.js.printer import print_statement
 from repro.lint.surface import nodes_surface, spec_surface
 from repro.signatures.spec import SecuritySpec
+from repro.webext.loader import is_bundle_text
 
 #: Statement forms a changed statement may not contain (recursively):
 #: each can sever the reachability of *unchanged* code, which would
@@ -100,6 +104,7 @@ REFUSED_CONTROL_FLOW = "control-flow-change"
 REFUSED_CALL = "call-in-change"
 REFUSED_SPEC_OVERLAP = "spec-overlap"
 REFUSED_SHARED_NAMES = "shared-names"
+REFUSED_WEBEXT_BUNDLE = "refused:webext-bundle"
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,8 @@ def certify_unchanged(
     just means the caller runs the full pipeline — the same sound
     degradation discipline as the relevance prefilter.
     """
+    if is_bundle_text(old_source) or is_bundle_text(new_source):
+        return ChangeCertificate(certified=False, reason=REFUSED_WEBEXT_BUNDLE)
     old_program, refusal = _parse_clean(old_source, recover)
     if old_program is None:
         return ChangeCertificate(certified=False, reason=refusal or REFUSED_PARSE_ERROR)

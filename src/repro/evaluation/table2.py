@@ -92,13 +92,6 @@ def _row_from_outcome(spec: AddonSpec, outcome: VetOutcome) -> Table2Row:
     )
 
 
-def compute_row(spec: AddonSpec, runs: int = 11, k: int = 1) -> Table2Row:
-    """One addon's row (kept for targeted/debug use; the full table goes
-    through :func:`compute_table2`'s batch path)."""
-    [outcome] = vet_corpus([spec], runs=runs, k=k, workers=1, use_cache=False)
-    return _row_from_outcome(spec, outcome)
-
-
 def compute_table2(
     runs: int = 11,
     k: int = 1,

@@ -16,8 +16,16 @@ message-passing. This package assembles such a directory into one
   single cycle so abstract message channels connect the components;
 - :mod:`repro.webext.guards` — sender-origin guard detection and the
   paper-style conditional-flow downgrade;
-- :mod:`repro.webext.pipeline` — the full vetting pipeline for bundles
-  (what :func:`repro.api.vet` delegates to).
+- :mod:`repro.webext.pipeline` — the bundle front end of the one vetting
+  pipeline, :func:`repro.api.vet`.
+
+Single files and bundles run the same stages; the bundle front end
+differs in four places only: it parses and lowers every component file
+(``parse_extension`` / ``lower_parsed_extension``), analyzes under
+:class:`~repro.browser.chrome.WebExtEnvironment`, defaults to
+:func:`~repro.browser.chrome.webext_spec`, and adds the
+``components`` / ``channels`` / ``sender_guards`` counters plus the
+sender-guard downgrade after inference.
 """
 
 from repro.webext.loader import (

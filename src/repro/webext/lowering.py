@@ -75,9 +75,6 @@ class LoweredExtension:
     program: ProgramIR
     #: component name -> file paths that formed it, in order.
     component_files: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Every parsed file AST (manifest order) — the prefilter unions
-    #: their surfaces.
-    parsed: tuple[ast.Program, ...] = ()
     #: ``(path, skipped)`` parse-recovery skips (empty unless recover).
     skipped: tuple[tuple[str, SkippedStatement], ...] = ()
 
@@ -124,8 +121,8 @@ def lower_parsed_extension(
     ``programs``, when given, substitutes the statement source per file
     (parallel to ``parsed_extension.parsed`` — the pruned programs of
     :func:`repro.preanalysis.preanalyze`). Bookkeeping fields
-    (``parsed``, ``component_files``, ``skipped``) always describe the
-    *original* parse.
+    (``component_files``, ``skipped``) always describe the *original*
+    parse.
     """
     source_programs = (
         programs if programs is not None else parsed_extension.parsed
@@ -197,7 +194,6 @@ def lower_parsed_extension(
     return LoweredExtension(
         program=program,
         component_files=dict(parsed_extension.component_files),
-        parsed=parsed_extension.parsed,
         skipped=parsed_extension.skipped,
     )
 

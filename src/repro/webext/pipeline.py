@@ -1,174 +1,75 @@
-"""The WebExtensions vetting pipeline: bundle -> :class:`VettingReport`.
+"""The WebExtensions front end of :func:`repro.api.vet`.
 
-Same three phases as the single-file pipeline (:func:`repro.api.vet`),
-with the front end swapped for the multi-file lowering, the environment
-for :class:`repro.browser.chrome.WebExtEnvironment`, the default spec
-for :func:`repro.browser.chrome.webext_spec`, and one extra inference
-step: the sender-guard downgrade of :mod:`repro.webext.guards`, applied
-*before* salvage widening (a degraded run's ⊤ entries must stay ⊤).
+:func:`repro.api.vet` runs the same stages for bundles as for single
+files; :class:`BundleFrontEnd` supplies the four bundle-specific parts:
+the multi-file parse and lowering, :class:`repro.browser.chrome
+.WebExtEnvironment`, the :func:`repro.browser.chrome.webext_spec`
+default, and the cross-component counters plus the sender-guard
+downgrade of :mod:`repro.webext.guards`, applied *before* salvage
+widening (a degraded run's ⊤ entries must stay ⊤).
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.analysis import analyze
-from repro.api import VettingReport, infer_detail
+from repro.analysis import AnalysisResult, analyze
+from repro.api import infer_detail
 from repro.browser.chrome import WebExtEnvironment, webext_spec
-from repro.faults import Budget, Degradation, FailureKind
+from repro.ir import ProgramIR
 from repro.js import node_count
 from repro.pdg import build_pdg
-from repro.perf import Counters, PhaseTimes
-from repro.signatures import (
-    InferenceDetail,
-    SecuritySpec,
-    Signature,
-    compare,
-    widen_detail,
-)
+from repro.signatures import InferenceDetail
 from repro.webext.guards import downgrade_guarded, find_sender_guards
-from repro.webext.loader import ExtensionBundle, bundle_from_text
+from repro.webext.loader import bundle_from_text
 from repro.webext.lowering import lower_parsed_extension, parse_extension
 
+__all__ = [
+    "BundleFrontEnd",
+    # Not called here (vet runs them via repro.api); perfbench's traced run patches them by name.
+    "analyze",
+    "build_pdg",
+    "infer_detail",
+    "node_count",
+]
 
-def vet_extension(
-    source: str | ExtensionBundle,
-    manual: Signature | None = None,
-    real_extras: frozenset = frozenset(),
-    spec: SecuritySpec | None = None,
-    k: int = 1,
-    budget: Budget | None = None,
-    recover: bool = False,
-    prefilter: bool = False,
-    preanalysis: bool = True,
-) -> VettingReport:
-    """Vet one extension bundle (or its serialized bundle text).
 
-    Mirrors :func:`repro.api.vet` so batch/diffvet/service code can
-    treat extension reports and single-file reports uniformly. The
-    counters additionally record the cross-component shape of the run:
+class BundleFrontEnd:
+    """The front end for a serialized WebExtension bundle.
+
+    Its extra counters record the cross-component shape of the run:
     ``components``, ``channels`` (distinct channels any loop
     dispatched), and ``sender_guards``.
-
-    The pre-analysis (``preanalysis=True``) runs over the union of all
-    parsed component files — resolution and pruning are whole-bundle
-    (a content script may hold the only reference to a background
-    function's property name), so the liveness fixpoint must see every
-    file at once.
     """
-    from repro.lint.surface import decide_relevance_many
 
-    bundle = source if isinstance(source, ExtensionBundle) else bundle_from_text(source)
-    resolved_spec = spec if spec is not None else webext_spec()
-    start = time.perf_counter()
-    parsed = parse_extension(bundle, recover=recover)
-    degradations: list[Degradation] = [
-        Degradation(
-            kind=(
-                FailureKind.UNSUPPORTED_SYNTAX
-                if skip.unsupported
-                else FailureKind.PARSE_ERROR
-            ),
-            detail=f"skipped top-level statement in {path}: {skip.render()}",
-        )
-        for path, skip in parsed.skipped
-    ]
-    ast_nodes = sum(node_count(program) for program in parsed.parsed)
+    environment = WebExtEnvironment
+    default_spec = staticmethod(webext_spec)
 
-    pre = None
-    if preanalysis:
-        from repro.preanalysis import preanalyze
+    def __init__(self) -> None:
+        self.parsed = None
+        self.guards = None
 
-        pre = preanalyze(parsed.parsed, degraded=bool(degradations))
+    def parse_files(self, source: str, recover: bool):
+        """``(trees, skips)``: every component file's AST in manifest
+        order and the recovery skips as ``(path, skipped statement)``."""
+        self.parsed = parse_extension(bundle_from_text(source), recover=recover)
+        return self.parsed.parsed, self.parsed.skipped
 
-    decision = None
-    if prefilter:
-        decision = decide_relevance_many(
-            parsed.parsed,
-            resolved_spec,
-            degraded=bool(degradations),
-            resolution=pre.resolution if pre is not None else None,
-        )
-        if not decision.relevant:
-            lowered = lower_parsed_extension(parsed)
-            after_parse = time.perf_counter()
-            detail = InferenceDetail(
-                signature=Signature(), provenance={}, source_statements={}
-            )
-            comparison = None
-            if manual is not None:
-                comparison = compare(detail.signature, manual, real_extras)
-            counters = Counters()
-            counters["prefiltered"] = 1
-            counters["components"] = len(parsed.component_files)
-            if pre is not None:
-                counters.update(pre.counters)
-            return VettingReport(
-                program=lowered.program,
-                result=None,
-                pdg=None,
-                detail=detail,
-                ast_nodes=ast_nodes,
-                comparison=comparison,
-                phase_times=PhaseTimes(p1=after_parse - start, p2=0.0, p3=0.0),
-                counters=counters,
-                degradations=(),
-                prefiltered=True,
-                prefilter_decision=decision,
-                preanalysis=pre,
-            )
+    def lower_files(self, trees) -> ProgramIR:
+        """Lower ``trees`` (parallel to the parsed files, possibly
+        pruned) into one program; bookkeeping stays on the originals."""
+        return lower_parsed_extension(self.parsed, programs=trees).program
 
-    # Lower the pruned programs when pruning fired; bookkeeping (the
-    # ``parsed`` ASTs, ``ast_nodes``) stays on the originals.
-    analysis_programs = (
-        pre.programs if pre is not None and pre.prune.pruned_nodes else None
-    )
-    lowered = lower_parsed_extension(parsed, programs=analysis_programs)
+    def post_inference(self, result, pdg, detail: InferenceDetail) -> InferenceDetail:
+        """The sender-guard downgrade."""
+        self.guards = find_sender_guards(result, pdg)
+        return downgrade_guarded(detail, self.guards)
 
-    result = analyze(
-        lowered.program, WebExtEnvironment(), k=k, budget=budget, salvage=True
-    )
-    degradations.extend(result.degradations)
-    after_p1 = time.perf_counter()
-    pdg = build_pdg(result)
-    after_p2 = time.perf_counter()
-    detail = infer_detail(result, pdg, resolved_spec)
-    guards = find_sender_guards(result, pdg)
-    detail = downgrade_guarded(detail, guards)
-    if degradations:
-        detail = widen_detail(detail, resolved_spec)
-    after_p3 = time.perf_counter()
-    comparison = None
-    if manual is not None:
-        comparison = compare(detail.signature, manual, real_extras)
-    counters = Counters(result.counters)
-    counters["pdg_edges"] = len(pdg.edges)
-    counters["pdg_cyclic_statements"] = len(pdg.cyclic)
-    counters["signature_entries"] = len(detail.signature.entries)
-    counters["components"] = len(parsed.component_files)
-    counters["channels"] = len(
-        {channel for channels in result.loop_channels.values() for channel in channels}
-    )
-    counters["sender_guards"] = len(guards.branches)
-    if degradations:
-        counters["degradations"] = len(degradations)
-    if pre is not None:
-        counters.update(pre.counters)
-    return VettingReport(
-        program=lowered.program,
-        result=result,
-        pdg=pdg,
-        detail=detail,
-        ast_nodes=ast_nodes,
-        comparison=comparison,
-        unknown_calls=result.unknown_callees,
-        phase_times=PhaseTimes(
-            p1=after_p1 - start,
-            p2=after_p2 - after_p1,
-            p3=after_p3 - after_p2,
-        ),
-        counters=counters,
-        degradations=tuple(degradations),
-        prefilter_decision=decision,
-        preanalysis=pre,
-    )
+    def counters(self, result: AnalysisResult | None) -> dict[str, int]:
+        counters = {"components": len(self.parsed.component_files)}
+        if result is not None:
+            counters["channels"] = len({
+                channel
+                for channels in result.loop_channels.values()
+                for channel in channels
+            })
+            counters["sender_guards"] = len(self.guards.branches)
+        return counters
