@@ -211,14 +211,6 @@ class AnalysisResult:
             result = result.join(self.atom_value(sid, context, atom))
         return result
 
-    def callee_functions(self, sid: int) -> set[int]:
-        """All IR functions a call statement may invoke (any context)."""
-        fids: set[int] = set()
-        for (node_sid, _ctx), targets in self.call_edges.items():
-            if node_sid == sid:
-                fids.update(fid for fid, _ in targets)
-        return fids
-
     def callee_native_tags(self, sid: int) -> set[str]:
         """Native tags a call statement may invoke (any context)."""
         stmt = self.program.stmts[sid]

@@ -3,13 +3,15 @@
 Batch-mode static vetting makes the corpus dimension embarrassingly
 parallel: every addon's pipeline (P1 base analysis, P2 annotated PDG, P3
 signature inference) is independent of every other addon's, so
-:func:`vet_many` fans the corpus out over a ``ProcessPoolExecutor`` with
+:func:`vet_many` fans the corpus out over a
+:class:`repro.pool.SupervisedPool` with
 
 - **per-addon isolation with typed outcomes** — a parse error becomes a
   typed failure (:class:`repro.faults.FailureKind`), a blown analysis
   budget (fixpoint steps, cooperative wall-clock deadline, abstract
   states) *degrades* to a sound ⊤-widened signature flagged
-  ``degraded``, a broken pool re-runs its stranded tasks in-process,
+  ``degraded``, a wedged task becomes a ``budget-time`` failure and
+  its worker is killed, a broken pool's stranded tasks are retried,
   and a corrupt cache entry is quarantined — nothing one addon does
   kills the batch or goes unreported (:func:`summarize` gives the
   per-kind breakdown);
@@ -45,14 +47,13 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
 from repro.faults import Budget, FailureKind, RetryPolicy, classify_exception
 from repro.perf import median_report
+from repro.pool import JobDeadlineError, SupervisedPool, WorkerCrashError
 from repro.signatures.spec import SecuritySpec
 from repro.store import JsonStore
 
@@ -574,16 +575,15 @@ def _execute_task(
             diff_witnesses=diff_witnesses,
         )
     except Exception as exc:  # isolation: one bad addon never kills a batch
-        return VetOutcome(
-            name=task.name, ok=False,
-            failure=classify_exception(exc).value,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed(task, exc)
 
 
-def _parallel_map_worker(payload: tuple) -> object:
-    fn, item = payload
-    return fn(item)
+def _failed(task: VetTask, exc: Exception) -> VetOutcome:
+    return VetOutcome(
+        name=task.name, ok=False,
+        failure=classify_exception(exc).value,
+        error=f"{type(exc).__name__}: {exc}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -733,7 +733,7 @@ def vet_many(
             fresh = [(index, key, _execute_task(task, spec, timeout))
                      for index, task, key in pending]
         else:
-            fresh = _run_pool(pending, spec, worker_count, timeout, pool_retry)
+            fresh = _vet_on_pool(pending, spec, worker_count, timeout, pool_retry)
         for index, key, outcome in fresh:
             # Degraded outcomes are machine/load-dependent (a deadline
             # that tripped here may not trip elsewhere): never cache.
@@ -760,144 +760,80 @@ def vet_many(
     return ordered
 
 
-def _hard_timeout(task: VetTask, timeout: float | None) -> float | None:
-    """The pool-level backstop for one task: the cooperative per-run
-    deadline normally fires first, so this only catches work wedged
-    outside the fixpoint loop (parsing, PDG, inference, a stuck
-    worker). Generous by design: runs x timeout plus grace."""
-    if timeout is None:
-        return None
-    return timeout * max(1, task.runs) + 10.0
-
-
-def _run_pool(
+def _vet_on_pool(
     pending: list[tuple[int, VetTask, str | None]],
     spec: SecuritySpec | None,
     worker_count: int,
     timeout: float | None,
     policy: RetryPolicy | None = None,
 ) -> list[tuple[int, str | None, VetOutcome]]:
-    """Fan pending tasks over a supervised process pool.
+    """The batch engine's policy on a :class:`~repro.pool.SupervisedPool`
+    built for this call: submit every task, then collect in order.
 
-    Failure containment, in order of preference:
-
-    - a worker that *returns* never raises (:func:`_execute_task`), so
-      per-task faults arrive as typed failure / degraded outcomes;
-    - a task that outlives its hard backstop becomes a ``budget-time``
-      failure outcome;
-    - a broken pool (a worker process died) strands every task whose
-      future it poisoned — the pool is *rebuilt* and the stranded tasks
-      resubmitted under the shared backoff-with-jitter
-      :class:`~repro.faults.RetryPolicy` (so a second or third worker
-      death in one run keeps its parallelism instead of aborting to a
-      sequential crawl); a task that exhausts the policy is salvaged
-      with one final sequential in-process run;
+    - a task past its hard backstop becomes a ``budget-time`` outcome;
+    - tasks stranded by a worker death go to the rebuilt pool under the
+      backoff-with-jitter :class:`~repro.faults.RetryPolicy`; a task
+      that exhausts it is salvaged with one in-process run;
     - a pool that cannot be created at all (no fork/semaphores) falls
       back to sequential in-process execution.
 
-    Every re-executed task carries a ``pool_retries`` counter (how many
-    times it was stranded and re-run); :func:`summarize` folds those
-    into totals and a per-attempt histogram.
+    Every re-executed task carries a ``pool_retries`` counter, which
+    :func:`summarize` folds into totals and a per-attempt histogram.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
     policy = policy if policy is not None else RetryPolicy()
     rng = random.Random(len(pending))  # deterministic jitter per batch
     results: list[tuple[int, str | None, VetOutcome]] = []
     retries: dict[int, int] = {}
     executions: dict[int, int] = {}
     queue = list(pending)
+    salvage: list[tuple[int, VetTask, str | None]] = []
     round_number = 0
-    while queue:
-        try:
-            executor = ProcessPoolExecutor(max_workers=worker_count)
-        except (OSError, ValueError):  # no fork/semaphores available here
-            break  # sequential salvage below
-        stranded: list[tuple[int, VetTask, str | None]] = []
-        pool_broke = False
-        try:
+    pool = SupervisedPool(worker_count, spec=spec, timeout=timeout)
+    try:
+        while queue:
             futures = []
             try:
                 for index, task, key in queue:
                     executions[index] = executions.get(index, 0) + 1
-                    futures.append((
-                        index, task, key,
-                        executor.submit(_execute_task, task, spec, timeout),
-                    ))
-            except BrokenProcessPool:  # died during submission
-                pool_broke = True
-                submitted = {entry[0] for entry in futures}
-                stranded.extend(
-                    item for item in queue if item[0] not in submitted
-                )
+                    futures.append((index, task, key, pool.submit(task)))
+            except WorkerCrashError:  # died during submission
+                pass
+            except (OSError, ValueError):  # no fork/semaphores available here
+                break
+            stranded = queue[len(futures):]
             for position, (index, task, key, future) in enumerate(futures):
                 try:
-                    outcome = future.result(
-                        timeout=_hard_timeout(task, timeout)
-                    )
+                    outcome = pool.result(future, task)
                     if retries.get(index):
-                        outcome = _bump_counter(
-                            outcome, "pool_retries", retries[index]
-                        )
-                    results.append((index, key, outcome))
-                except FutureTimeoutError:
-                    future.cancel()
-                    results.append((
-                        index, key,
-                        VetOutcome(
-                            name=task.name, ok=False,
-                            failure=FailureKind.BUDGET_TIME.value,
-                            error=f"timeout: exceeded {timeout}s wall-clock budget",
-                        ),
-                    ))
-                except BrokenProcessPool:
+                        outcome = _bump_counter(outcome, "pool_retries", retries[index])
+                except JobDeadlineError:
+                    outcome = VetOutcome(
+                        name=task.name, ok=False,
+                        failure=FailureKind.BUDGET_TIME.value,
+                        error=f"timeout: exceeded {timeout}s wall-clock budget",
+                    )
+                except WorkerCrashError:
                     # The pool is dead: every remaining future is
                     # poisoned. Strand them all for a fresh pool.
-                    pool_broke = True
-                    stranded.extend(
-                        (s_index, s_task, s_key)
-                        for s_index, s_task, s_key, _ in futures[position:]
-                    )
+                    stranded.extend(entry[:3] for entry in futures[position:])
                     break
                 except Exception as exc:  # e.g. an unpicklable result
-                    results.append((
-                        index, key,
-                        VetOutcome(
-                            name=task.name, ok=False,
-                            failure=classify_exception(exc).value,
-                            error=f"{type(exc).__name__}: {exc}",
-                        ),
-                    ))
-        finally:
-            # Don't block on workers wedged past their timeout.
-            executor.shutdown(
-                wait=timeout is None and not pool_broke, cancel_futures=True
-            )
-        if not stranded:
-            return results
-        # Split the stranded tasks: those the policy still allows go to
-        # a rebuilt pool after a backoff; the rest fall through to the
-        # sequential salvage pass.
-        queue = []
-        exhausted: list[tuple[int, VetTask, str | None]] = []
-        for index, task, key in stranded:
-            retries[index] = retries.get(index, 0) + 1
-            if policy.allows(executions[index]):
-                queue.append((index, task, key))
-            else:
-                exhausted.append((index, task, key))
-        if queue:
-            round_number += 1
-            time.sleep(policy.delay(round_number, rng))
-        if exhausted:
-            for index, task, key in exhausted:
-                outcome = _bump_counter(
-                    _execute_task(task, spec, timeout),
-                    "pool_retries", retries[index],
-                )
+                    outcome = _failed(task, exc)
                 results.append((index, key, outcome))
-    # Pool could not be (re)created at all: sequential salvage.
-    for index, task, key in queue:
+            # Stranded tasks the policy still allows go to the rebuilt
+            # pool after a backoff; the rest are salvaged in-process.
+            queue = []
+            for index, task, key in stranded:
+                retries[index] = retries.get(index, 0) + 1
+                retry = policy.allows(executions[index])
+                (queue if retry else salvage).append((index, task, key))
+            if queue:
+                round_number += 1
+                time.sleep(policy.delay(round_number, rng))
+    finally:
+        pool.shutdown()
+    # ``queue`` is non-empty only when the pool could not be created.
+    for index, task, key in salvage + queue:
         outcome = _execute_task(task, spec, timeout)
         if retries.get(index):
             outcome = _bump_counter(outcome, "pool_retries", retries[index])
@@ -1034,18 +970,3 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         # retry policy's per-attempt breakdown ({} = no worker deaths).
         "pool_retry_attempts": dict(sorted(pool_retry_attempts.items())),
     }
-
-
-def parallel_map(fn, items, *, workers: int | None = None) -> list:
-    """Order-preserving parallel map over a picklable, module-level
-    function (used by the cheap corpus sweeps, e.g. Table 1 sizing).
-    Falls back to a plain map when only one worker is available."""
-    items = list(items)
-    worker_count = _resolve_workers(workers, len(items))
-    if worker_count <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    try:
-        with ProcessPoolExecutor(max_workers=worker_count) as executor:
-            return list(executor.map(_parallel_map_worker, [(fn, item) for item in items]))
-    except (OSError, ValueError):
-        return [fn(item) for item in items]

@@ -263,9 +263,6 @@ class AbstractObject:
             return self
         return interned_object(replace(self, properties=self._pack(updated)))
 
-    def property_names(self) -> list[str]:
-        return [name for name, _ in self.properties]
-
     def __str__(self) -> str:
         parts = [self.kind]
         if self.closures:

@@ -14,13 +14,10 @@ the machinery around them crashes.
   :class:`repro.store.JsonStore` *before* the terminal journal record,
   so execution is at-least-once but result commit is idempotent —
   a replayed job that already committed is recognized, not re-run;
-- :mod:`repro.service.supervisor` — :class:`SupervisedPool`: the
-  process pool the daemon vets on, rebuilt on worker death, with
-  per-job hard deadlines layered over the cooperative
-  :class:`repro.faults.Budget`;
 - :mod:`repro.service.daemon` — :class:`VettingService` plus its two
   front doors (``addon-sig serve``): newline-delimited JSON-RPC on
   stdin/stdout, or a localhost HTTP listener (stdlib-only, asyncio);
+  it vets on :class:`repro.pool.SupervisedPool` with spawned workers;
 - :mod:`repro.service.client` — the blocking HTTP client the load
   generator and tests drive the daemon with;
 - :mod:`repro.service.loadgen` — the service-level chaos harness

@@ -6,8 +6,8 @@ The :class:`VettingService` glues the crash-safe layers together:
   .DurableJobQueue` (journal-then-ack, so an acknowledged submit
   survives any later crash);
 - an asyncio scheduler feeds claimed jobs to the
-  :class:`~repro.service.supervisor.SupervisedPool`, at most one job
-  per worker slot;
+  :class:`~repro.pool.SupervisedPool` (spawned workers), at most one
+  job per worker slot;
 - a worker crash backs off under the shared
   :class:`~repro.faults.RetryPolicy` and requeues the job (or
   quarantines it as poison once its attempts are spent); a job that
@@ -44,13 +44,9 @@ from pathlib import Path
 from repro.batch import VetOutcome, VetTask
 from repro.diffvet.store import VersionStore
 from repro.faults import FailureKind, RetryPolicy
+from repro.pool import JobDeadlineError, SupervisedPool, WorkerCrashError
 from repro.service.jobs import Job, JobState, task_from_json
 from repro.service.queue import DurableJobQueue
-from repro.service.supervisor import (
-    JobDeadlineError,
-    SupervisedPool,
-    WorkerCrashError,
-)
 
 
 class RpcError(Exception):
@@ -89,7 +85,9 @@ class VettingService:
         self.queue = DurableJobQueue(
             self.directory, max_attempts=self.retry.max_attempts, fsync=fsync
         )
-        self.pool = SupervisedPool(workers, spec=spec, timeout=timeout)
+        self.pool = SupervisedPool(
+            workers, spec=spec, timeout=timeout, start_method="spawn"
+        )
         self.versions = VersionStore(self.directory, max_chains=max_chains)
         self._rng = random.Random(0xC0FFEE)
         self._running = False

@@ -87,9 +87,6 @@ class FlowTypeLattice:
     def rank(self, flow_type: FlowType) -> int:
         return self.structure[flow_type][0]
 
-    def annotation_of(self, flow_type: FlowType) -> Annotation:
-        return self.structure[flow_type][1]
-
     def stronger_or_equal(self, left: FlowType, right: FlowType) -> bool:
         """left ≥ right in the lattice (left is stronger)."""
         if left is right:

@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import pytest
 
 import repro.api
-from repro import batch
+from repro import pool
 from repro.addons import CORPUS
 from repro.analysis import AnalysisBudgetExceeded, analyze
 from repro.api import vet
@@ -195,7 +196,7 @@ class _PoisonedFuture:
 class _BrokenPoolExecutor:
     """A ProcessPoolExecutor double whose every future is poisoned."""
 
-    def __init__(self, max_workers=None):
+    def __init__(self, max_workers=None, mp_context=None, initializer=None):
         pass
 
     def submit(self, fn, *args, **kwargs):
@@ -207,7 +208,7 @@ class _BrokenPoolExecutor:
 
 class TestWorkerCrash:
     def test_broken_pool_retries_stranded_tasks_in_process(self, monkeypatch):
-        monkeypatch.setattr(batch, "ProcessPoolExecutor", _BrokenPoolExecutor)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _BrokenPoolExecutor)
         policy = RetryPolicy(max_attempts=3, base_delay=0.001, jitter=0.0)
         baseline = vet_many([LEAKY, "var ok = 1;"], workers=1, use_cache=False)
         outcomes = vet_many(
@@ -252,6 +253,26 @@ class TestWorkerCrash:
         # in-process (where the kill switch does not fire).
         assert [o.ok for o in outcomes] == [True, True]
         assert any(o.counters.get("pool_retries") for o in outcomes)
+
+    def test_timed_out_worker_is_reclaimed(self, monkeypatch):
+        """A task past the hard backstop becomes ``budget-time``, and its
+        wedged worker does not outlive the call. The production backstop
+        is generous (10s+ grace), so the test narrows it."""
+        monkeypatch.setattr(pool, "_hard_timeout", lambda task, timeout: 0.5)
+        before = set(multiprocessing.active_children())
+        big = "\n".join(
+            f"var v{n} = document.cookie; send(v{n});" for n in range(5000)
+        )
+        outcomes = vet_many(
+            [big, "var ok = 1;"], workers=2, timeout=30, use_cache=False
+        )
+        assert outcomes[0].failure == "budget-time"
+        assert outcomes[1].ok
+        give_up = time.monotonic() + 2.0
+        while (set(multiprocessing.active_children()) - before
+               and time.monotonic() < give_up):
+            time.sleep(0.05)
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 # ----------------------------------------------------------------------
