@@ -38,6 +38,23 @@ from repro.signatures import (
     widen_detail,
 )
 
+__all__ = [
+    "DiffVetReport",
+    "SingleFileFrontEnd",
+    "VettingReport",
+    "analyze_addon",
+    "build_addon_pdg",
+    "diff_vet",
+    "front_end",
+    "infer_addon_signature",
+    "infer_detail",
+    "infer_signature",
+    # Not called here (vet reads the node count off the pre-lowering
+    # scan); perfbench's traced run patches it by name.
+    "node_count",
+    "vet",
+]
+
 
 def analyze_addon(
     source: str,
@@ -109,8 +126,8 @@ class VettingReport:
     #: when the prefilter ran.
     prefilter_decision: object | None = None
     #: The whole-program pre-analysis (``repro.preanalysis``): computed
-    #: property resolution, call graph, pruning decision. ``None`` when
-    #: disabled (``--no-preanalysis``).
+    #: property resolution, pruning decision, and the call graph on
+    #: demand. ``None`` when disabled (``--no-preanalysis``).
     preanalysis: object | None = None
 
     @property
@@ -242,10 +259,13 @@ def vet(
     prefilter, unreferenced top-level functions are pruned before the
     interpreter ever sees them (signature-preserving — proven
     bit-identical in ``tests/preanalysis``), and the report gains the
-    ``resolved_sites`` / ``residual_dynamic_sites`` / ``pruned_nodes`` /
-    ``callgraph_edges`` counters. For a bundle it runs over the union
-    of all component files: a content script may hold the only
-    reference to a background function's property name.
+    ``resolved_sites`` / ``residual_dynamic_sites`` / ``pruned_nodes``
+    counters. For a bundle it runs over the union of all component
+    files: a content script may hold the only reference to a background
+    function's property name. Either way the parsed files are walked
+    once before lowering (:func:`repro.lint.surface.scan_programs`);
+    the prefilter, the pre-analysis and ``ast_nodes`` all read that one
+    scan.
 
     ``source`` may also be a serialized WebExtension bundle (the
     ``repro.webext.loader`` text form produced by ``load_source`` on an
@@ -256,7 +276,7 @@ def vet(
     consumer — batch runner, vetting service, differential vetting —
     free of special cases.
     """
-    from repro.lint.surface import decide_relevance_many
+    from repro.lint.surface import decide_relevance_many, scan_programs
 
     front = front_end(source)
     resolved_spec = spec if spec is not None else front.default_spec()
@@ -282,6 +302,9 @@ def vet(
         from repro.preanalysis import preanalyze
 
         pre = preanalyze(trees, degraded=bool(degradations))
+        scan = pre.scan
+    else:
+        scan = scan_programs(trees)
     decision = None
     if prefilter:
         decision = decide_relevance_many(
@@ -289,6 +312,7 @@ def vet(
             resolved_spec,
             degraded=bool(degradations),
             resolution=pre.resolution if pre is not None else None,
+            scan=scan,
         )
     prefiltered = decision is not None and not decision.relevant
     result = pdg = None
@@ -299,8 +323,9 @@ def vet(
         after_p1 = after_p2 = after_p3 = time.perf_counter()
     else:
         # Pruning is signature-preserving (tests/preanalysis proves
-        # bit-identity); the original trees still supply ast_nodes so
-        # the size metric stays the addon's, not the pruned residue's.
+        # bit-identity); the scan of the original trees supplies
+        # ast_nodes, so the size metric stays the addon's, not the
+        # pruned residue's.
         pruned = pre is not None and pre.prune.pruned_nodes
         program = front.lower_files(pre.programs if pruned else trees)
         result = analyze(
@@ -335,7 +360,7 @@ def vet(
         result=result,
         pdg=pdg,
         detail=detail,
-        ast_nodes=sum(node_count(tree) for tree in trees),
+        ast_nodes=scan.node_count,
         comparison=comparison,
         unknown_calls=(
             result.unknown_callees if result is not None else frozenset()

@@ -940,9 +940,6 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         "pruned_nodes": sum(
             o.counters.get("pruned_nodes", 0) for o in outcomes
         ),
-        "callgraph_edges": sum(
-            o.counters.get("callgraph_edges", 0) for o in outcomes
-        ),
         "pruned_addons": sum(
             1 for o in outcomes if o.counters.get("pruned_nodes", 0)
         ),
@@ -958,7 +955,7 @@ def summarize(outcomes: list[VetOutcome]) -> dict:
         # the change-surface certificate vs. skipped it on the cost gate.
         "certifications": certifications,
         # Pre-analysis aggregates: computed sites resolved vs. residual,
-        # nodes pruned before lowering, call-graph edge count.
+        # nodes pruned before lowering.
         "preanalysis": preanalysis,
         "cached": sum(1 for o in outcomes if o.cached),
         "failures": dict(sorted(failures.items())),

@@ -70,9 +70,9 @@ import difflib
 from dataclasses import dataclass
 
 from repro.js import ast as js_ast
-from repro.js import node_count, parse, parse_with_recovery
+from repro.js import parse, parse_with_recovery
 from repro.js.printer import print_statement
-from repro.lint.surface import nodes_surface, spec_surface
+from repro.lint.surface import nodes_surface, scan_programs, spec_surface
 from repro.signatures.spec import SecuritySpec
 from repro.webext.loader import is_bundle_text
 
@@ -235,10 +235,11 @@ def certify_unchanged(
     new_program, refusal = _parse_clean(new_source, recover)
     if new_program is None:
         return ChangeCertificate(certified=False, reason=refusal or REFUSED_PARSE_ERROR)
-    new_ast_nodes = node_count(new_program)
+    new_scan = scan_programs([new_program])
+    new_ast_nodes = new_scan.node_count
 
     old_whole = nodes_surface([old_program])
-    new_whole = nodes_surface([new_program])
+    new_whole = new_scan.surface()
     if old_whole.dynamic_code or new_whole.dynamic_code:
         return ChangeCertificate(
             certified=False, reason=REFUSED_DYNAMIC_CODE,

@@ -4,18 +4,62 @@ The node vocabulary mirrors the ESTree shape (SpiderMonkey Parser API) for
 the ES5 constructs that browser addons use, so anyone familiar with Esprima/
 Rhino output can read these trees directly.
 
-Every node knows its children (:meth:`Node.children`), which powers generic
-traversals, the AST node count used as the size metric in Table 1 (the
-paper uses Rhino's node count; ours is the direct analogue), and structural
-equality for tests.
+Every node class has a *child-slot table* (:data:`CHILD_SLOTS`): the names
+of its fields that hold child nodes, read once per class from the type
+annotations. :meth:`Node.children`, :meth:`Node.walk` and
+:func:`node_count` all expand nodes through it, and the whole-program
+scan between parsing and lowering (:func:`repro.lint.surface
+.scan_programs`) does too. ``walk`` and ``node_count`` keep an explicit
+stack, so arbitrarily deep trees traverse without touching Python's
+recursion limit; the order is pre-order, source order among siblings.
+The node count is the size metric of Table 1 (the paper uses Rhino's node
+count; ours is the direct analogue).
 """
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from repro.js.errors import SourcePosition
+
+
+def _holds_nodes(hint) -> bool:
+    """Whether a field annotated ``hint`` holds a node (possibly ``None``)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_holds_nodes(arg) for arg in typing.get_args(hint))
+    return isinstance(hint, type) and issubclass(hint, Node)
+
+
+def _slots_of(cls: type) -> tuple[tuple[str, bool], ...]:
+    """``(field name, holds a list)`` for every child-node field of
+    ``cls``, in *reverse* declaration order: the order an explicit-stack
+    traversal pushes them so that they pop in source order."""
+    hints = typing.get_type_hints(cls)
+    slots = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) in (list, tuple):
+            if any(_holds_nodes(arg) for arg in typing.get_args(hint)):
+                slots.append((f.name, True))
+        elif _holds_nodes(hint):
+            slots.append((f.name, False))
+    return tuple(reversed(slots))
+
+
+class _SlotTable(dict):
+    """Node class -> child slots, filled on first use of each class."""
+
+    def __missing__(self, cls: type) -> tuple[tuple[str, bool], ...]:
+        slots = self[cls] = _slots_of(cls)
+        return slots
+
+
+#: The child-slot table every traversal reads (``CHILD_SLOTS[type(node)]``).
+#: Slots come in reverse declaration order; list slots hold nodes only.
+CHILD_SLOTS: dict[type, tuple[tuple[str, bool], ...]] = _SlotTable()
 
 
 @dataclass
@@ -33,22 +77,27 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield all direct child nodes, in source order."""
-        for f in fields(self):
-            if f.name == "position":
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, Node):
+        for name, many in reversed(CHILD_SLOTS[type(self)]):
+            value = getattr(self, name)
+            if many:
+                yield from value
+            elif value is not None:
                 yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        slots_of = CHILD_SLOTS
+        stack: list[Node] = [self]
+        pop, push, extend = stack.pop, stack.append, stack.extend
+        while stack:
+            node = pop()
+            yield node
+            for name, many in slots_of[type(node)]:
+                value = getattr(node, name)
+                if many:
+                    extend(reversed(value))
+                elif value is not None:
+                    push(value)
 
 
 def node_count(node: Node) -> int:
@@ -57,7 +106,20 @@ def node_count(node: Node) -> int:
     This is the "Size" metric of Table 1 (the paper counts Rhino AST nodes;
     we count our own, which plays the same role).
     """
-    return sum(1 for _ in node.walk())
+    slots_of = CHILD_SLOTS
+    stack: list[Node] = [node]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    count = 0
+    while stack:
+        current = pop()
+        count += 1
+        for name, many in slots_of[type(current)]:
+            value = getattr(current, name)
+            if many:
+                extend(value)
+            elif value is not None:
+                push(value)
+    return count
 
 
 # ----------------------------------------------------------------------

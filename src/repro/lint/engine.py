@@ -202,7 +202,7 @@ def file_surface(source: str) -> dict | None:
     next to the count of computed sites resolution bounded. ``None``
     when the file cannot be tokenized (the ``R000`` finding covers it).
     """
-    from repro.lint.surface import addon_surface
+    from repro.lint.surface import scan_programs
     from repro.preanalysis import resolve_computed_sites
 
     try:
@@ -210,11 +210,11 @@ def file_surface(source: str) -> dict | None:
     except FrontendError:
         return None
     program, skipped = Parser(tokens, "<addon>").parse_program_with_recovery()
-    plain = addon_surface(program)
+    scan = scan_programs([program])
     resolution = resolve_computed_sites(
-        (program,), trusted=not plain.dynamic_code and not skipped
+        (program,), trusted=not scan.dynamic_code and not skipped, scan=scan
     )
-    surface = addon_surface(program, resolution=resolution)
+    surface = scan.surface(resolution)
     return {
         "dynamic_code": surface.dynamic_code,
         "dynamic_code_sites": [

@@ -38,6 +38,13 @@ resolved names join ``Surface.names``, and only the *residual* sites
 still disqualify. Resolution is sound only whole-program (the solved
 environment must have seen every assignment), so fragment consumers
 (the diffvet change-surface certificate) call the scan without one.
+
+The walk itself is :func:`scan_programs`. Besides the surface it
+collects what the pre-analysis needs (constant-string constraints,
+per-statement mentions) and the node count, so ``repro.api.vet`` walks
+the parsed files once between parsing and lowering and derives the
+surface, resolution, pruning and ``ast_nodes`` from that one
+:class:`ProgramScan`.
 """
 
 from __future__ import annotations
@@ -89,6 +96,231 @@ class Surface:
     resolved_sites: int = 0
 
 
+@dataclass
+class ProgramScan:
+    """What the passes between parsing and lowering read off a set of
+    ASTs, collected in one walk by :func:`scan_programs`.
+
+    The vetting pipeline derives everything it needs before lowering
+    from one scan: the prefilter's :class:`Surface` (:meth:`surface`),
+    the constant-string constraints computed-property resolution solves
+    (``constraints``/``blocked``, see :mod:`repro.preanalysis
+    .constants`), the computed sites it classifies, the mention sets
+    pruning's liveness fixpoint reads (:meth:`mentions_with`), and the
+    ``ast_nodes`` size metric.
+    """
+
+    #: AST nodes walked (the Table 1 size metric).
+    node_count: int
+    #: Declared names: variables, functions, parameters, ``for-in``
+    #: variables.
+    declared: set[str]
+    #: Names mentioned (identifiers, static property names, object
+    #: literal keys) per *unit*. Entry 0 collects every unit except the
+    #: top-level function declarations of program roots; entry ``i + 1``
+    #: belongs to ``declarations[i]``.
+    mentions: list[set[str]]
+    #: Top-level function declarations of the ``Program`` roots, in walk
+    #: order, each with the node count of its subtree.
+    declarations: list[tuple[js_ast.FunctionDeclaration, int]]
+    #: Where each dynamic-code construct appears, in walk order.
+    dynamic_code_sites: list[Span]
+    #: Member expressions without a static property name, in walk
+    #: order, each with the index of the mention set of its unit.
+    computed_sites: list[tuple[js_ast.MemberExpression, int]]
+    #: ``(name, assigned expression)`` for every plain binding of a
+    #: name (``None``: a declarator without initializer), in walk order.
+    constraints: list[tuple[str, js_ast.Expression | None]]
+    #: Names the program binds in a way the constant-string lattice does
+    #: not model.
+    blocked: set[str]
+
+    @property
+    def dynamic_code(self) -> bool:
+        return bool(self.dynamic_code_sites)
+
+    def surface(self, resolution: "Resolution | None" = None) -> Surface:
+        """The syntactic surface; ``resolution`` as for
+        :func:`nodes_surface`."""
+        names = set(self.declared)
+        for mentioned in self.mentions:
+            names |= mentioned
+        resolved = resolution.resolved if resolution is not None else {}
+        dynamic_property_sites = []
+        resolved_sites = 0
+        for node, _unit in self.computed_sites:
+            keys = resolved.get(id(node))
+            if keys is None:
+                dynamic_property_sites.append(Span.at(node.position))
+            else:
+                names.update(keys)
+                resolved_sites += 1
+        return Surface(
+            names=frozenset(names),
+            dynamic_code=self.dynamic_code,
+            dynamic_properties=bool(dynamic_property_sites),
+            dynamic_code_sites=tuple(self.dynamic_code_sites),
+            dynamic_property_sites=tuple(dynamic_property_sites),
+            resolved_sites=resolved_sites,
+        )
+
+    def mentions_with(self, resolved: dict[int, frozenset[str]]) -> list[set[str]]:
+        """``mentions`` plus the resolved names of each unit's computed
+        sites (a copy wherever a name is added; the scan is unchanged)."""
+        mentions = list(self.mentions)
+        copied: set[int] = set()
+        for node, unit in self.computed_sites:
+            keys = resolved.get(id(node))
+            if keys:
+                if unit not in copied:
+                    mentions[unit] = set(mentions[unit])
+                    copied.add(unit)
+                mentions[unit].update(keys)
+        return mentions
+
+
+_IDENTIFIER = js_ast.Identifier
+_MEMBER = js_ast.MemberExpression
+_STRING = js_ast.StringLiteral
+#: The other node kinds the scan records something for.
+_BINDING_KINDS = frozenset({
+    js_ast.CallExpression,
+    js_ast.Property,
+    js_ast.VariableDeclarator,
+    js_ast.AssignmentExpression,
+    js_ast.UpdateExpression,
+    js_ast.ForInStatement,
+    js_ast.CatchClause,
+    js_ast.FunctionDeclaration,
+    js_ast.FunctionExpression,
+})
+
+
+def scan_programs(roots: Iterable[js_ast.Node]) -> ProgramScan:
+    """Walk ``roots`` once and collect a :class:`ProgramScan`.
+
+    Roots may be whole programs or fragments (statements); only the
+    top-level function declarations of ``Program`` roots get mention
+    sets of their own.
+    """
+    slots_of = js_ast.CHILD_SLOTS
+    declared: set[str] = set()
+    mentions: list[set[str]] = [set()]
+    declarations: list[tuple[js_ast.FunctionDeclaration, int]] = []
+    dynamic_code_sites: list[Span] = []
+    computed_sites: list[tuple[js_ast.MemberExpression, int]] = []
+    constraints: list[tuple[str, js_ast.Expression | None]] = []
+    blocked: set[str] = set()
+    count = 0
+
+    for root in roots:
+        whole = type(root) is js_ast.Program
+        if whole:
+            count += 1
+        for unit_node in root.body if whole else (root,):
+            start = count
+            if whole and type(unit_node) is js_ast.FunctionDeclaration:
+                unit = len(mentions)
+                mentions.append(set())
+            else:
+                unit = 0
+            mentioned = mentions[unit]
+            stack: list[js_ast.Node] = [unit_node]
+            pop, push, extend = stack.pop, stack.append, stack.extend
+            while stack:
+                node = pop()
+                count += 1
+                cls = type(node)
+                if cls is _IDENTIFIER:
+                    mentioned.add(node.name)
+                    if node.name in _DYNAMIC_CODE_NAMES:
+                        dynamic_code_sites.append(Span.at(node.position))
+                elif cls is _MEMBER:
+                    key = node.property
+                    prop = (
+                        key.value
+                        if type(key) is _STRING
+                        else static_property_name(node)
+                    )
+                    if prop is not None:
+                        mentioned.add(prop)
+                        if prop in _DYNAMIC_CODE_NAMES:
+                            dynamic_code_sites.append(Span.at(node.position))
+                    else:
+                        computed_sites.append((node, unit))
+                elif cls in _BINDING_KINDS:
+                    _collect_binding(
+                        node, cls, mentioned, declared, constraints, blocked,
+                        dynamic_code_sites,
+                    )
+                for name, many in slots_of[cls]:
+                    value = getattr(node, name)
+                    if many:
+                        extend(reversed(value))
+                    elif value is not None:
+                        push(value)
+            if unit:
+                declarations.append((unit_node, count - start))
+    return ProgramScan(
+        node_count=count,
+        declared=declared,
+        mentions=mentions,
+        declarations=declarations,
+        dynamic_code_sites=dynamic_code_sites,
+        computed_sites=computed_sites,
+        constraints=constraints,
+        blocked=blocked,
+    )
+
+
+def _collect_binding(
+    node, cls, mentioned, declared, constraints, blocked, dynamic_code_sites
+) -> None:
+    """The scan's rules for the node kinds in ``_BINDING_KINDS``."""
+    if cls is js_ast.CallExpression:
+        if callee_name(node.callee) in TIMER_NAMES and node.arguments:
+            if not isinstance(
+                node.arguments[0],
+                (js_ast.FunctionExpression, js_ast.Identifier,
+                 js_ast.MemberExpression),
+            ):
+                # A timer handler that is not (a reference to) a
+                # function may be a string of code.
+                dynamic_code_sites.append(Span.at(node.position))
+    elif cls is js_ast.Property:
+        mentioned.add(node.key)
+    elif cls is js_ast.VariableDeclarator:
+        declared.add(node.name)
+        constraints.append((node.name, node.init))
+    elif cls is js_ast.AssignmentExpression:
+        if type(node.target) is _IDENTIFIER:
+            if node.operator == "=":
+                constraints.append((node.target.name, node.value))
+            else:
+                # Compound assignment mixes the old value with
+                # arithmetic the constant-string lattice does not track.
+                blocked.add(node.target.name)
+    elif cls is js_ast.UpdateExpression:
+        if type(node.argument) is _IDENTIFIER:
+            blocked.add(node.argument.name)
+    elif cls is js_ast.ForInStatement:
+        # Enumerates arbitrary property names.
+        declared.add(node.variable)
+        blocked.add(node.variable)
+    elif cls is js_ast.CatchClause:
+        blocked.add(node.param)
+    else:
+        # A function: parameters receive arbitrary call arguments
+        # (including environment-made values at event dispatch); a
+        # function name is bound to a closure whose string coercion the
+        # machine tracks as ⊤.
+        declared.update(node.params)
+        blocked.update(node.params)
+        if node.name:
+            declared.add(node.name)
+            blocked.add(node.name)
+
+
 def addon_surface(
     program: js_ast.Node, resolution: "Resolution | None" = None
 ) -> Surface:
@@ -115,68 +347,7 @@ def nodes_surface(
     identity, so it must come from a pre-analysis of these same AST
     objects.
     """
-    names: set[str] = set()
-    dynamic_code = False
-    dynamic_properties = False
-    dynamic_code_sites: list[Span] = []
-    dynamic_property_sites: list[Span] = []
-    resolved_sites = 0
-    resolved = resolution.resolved if resolution is not None else {}
-
-    for node in _walk_all(roots):
-        if isinstance(node, js_ast.Identifier):
-            names.add(node.name)
-            if node.name in _DYNAMIC_CODE_NAMES:
-                dynamic_code = True
-                dynamic_code_sites.append(Span.at(node.position))
-        elif isinstance(node, js_ast.MemberExpression):
-            prop = static_property_name(node)
-            if prop is not None:
-                names.add(prop)
-                if prop in _DYNAMIC_CODE_NAMES:
-                    dynamic_code = True
-                    dynamic_code_sites.append(Span.at(node.position))
-            elif id(node) in resolved:
-                names.update(resolved[id(node)])
-                resolved_sites += 1
-            else:
-                dynamic_properties = True
-                dynamic_property_sites.append(Span.at(node.position))
-        elif isinstance(node, js_ast.Property):
-            names.add(node.key)
-        elif isinstance(node, js_ast.VariableDeclarator):
-            names.add(node.name)
-        elif isinstance(node, (js_ast.FunctionDeclaration, js_ast.FunctionExpression)):
-            if node.name:
-                names.add(node.name)
-            names.update(node.params)
-        elif isinstance(node, js_ast.ForInStatement):
-            names.add(node.variable)
-        elif isinstance(node, js_ast.CallExpression):
-            if callee_name(node.callee) in TIMER_NAMES and node.arguments:
-                handler = node.arguments[0]
-                if not isinstance(
-                    handler,
-                    (js_ast.FunctionExpression, js_ast.Identifier,
-                     js_ast.MemberExpression),
-                ):
-                    # A timer handler that is not (a reference to) a
-                    # function may be a string of code.
-                    dynamic_code = True
-                    dynamic_code_sites.append(Span.at(node.position))
-    return Surface(
-        names=frozenset(names),
-        dynamic_code=dynamic_code,
-        dynamic_properties=dynamic_properties,
-        dynamic_code_sites=tuple(dynamic_code_sites),
-        dynamic_property_sites=tuple(dynamic_property_sites),
-        resolved_sites=resolved_sites,
-    )
-
-
-def _walk_all(roots: Iterable[js_ast.Node]):
-    for root in roots:
-        yield from root.walk()
+    return scan_programs(roots).surface(resolution)
 
 
 def _tag_names(tag: str) -> set[str]:
@@ -299,6 +470,7 @@ def decide_relevance_many(
     *,
     degraded: bool = False,
     resolution: "Resolution | None" = None,
+    scan: ProgramScan | None = None,
 ) -> PrefilterDecision:
     """The prefilter decision over *several* parsed files at once.
 
@@ -313,10 +485,17 @@ def decide_relevance_many(
     objects; resolved computed sites then count as named surface instead
     of disqualifying dynamism (sound because the resolver's name sets
     over-approximate the machine's key coercion — DESIGN.md §5j).
+
+    ``scan`` is a :func:`scan_programs` of these same programs; given
+    one, the decision reads the surface off it instead of walking the
+    programs again.
     """
     if degraded:
         return PrefilterDecision(relevant=True, reason="degraded-input")
-    surface = nodes_surface(programs, resolution=resolution)
+    if scan is not None:
+        surface = scan.surface(resolution)
+    else:
+        surface = nodes_surface(programs, resolution=resolution)
     if surface.dynamic_code:
         return PrefilterDecision(
             relevant=True,

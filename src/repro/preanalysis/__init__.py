@@ -2,7 +2,10 @@
 reachability).
 
 Three cooperating passes that run between parsing and lowering, in the
-spirit of JSAI's cheap specialization pre-passes:
+spirit of JSAI's cheap specialization pre-passes. Resolution and
+pruning read one walk of the parsed files
+(:func:`repro.lint.surface.scan_programs`), the same one that feeds the
+prefilter and the node count:
 
 - **computed-property resolution** — a constant-string lattice over
   :mod:`repro.domains.stringset` resolves ``obj[k]`` sites to finite
@@ -10,7 +13,8 @@ spirit of JSAI's cheap specialization pre-passes:
   the truly dynamic residue;
 - **points-to / call graph** — Andersen-style name-binding constraints
   give a callee set per call site and an entry-reachable function set
-  (lint rules CG001/CG002, counters);
+  (lint rules CG001/CG002, ``vet --explain``; built on demand, never
+  while vetting);
 - **sound pruning** — top-level functions no live code references are
   removed before lowering, signature-preservation proven bit-identical
   corpus-wide, with a typed refusal ladder mirroring the prefilter's.
@@ -28,7 +32,7 @@ from repro.preanalysis.constants import (
     environment_global_names,
     key_plus,
     key_string,
-    solve_environment,
+    solve_constraints,
 )
 from repro.preanalysis.pipeline import (
     Preanalysis,
@@ -58,5 +62,5 @@ __all__ = [
     "preanalyze",
     "prune_programs",
     "resolve_computed_sites",
-    "solve_environment",
+    "solve_constraints",
 ]

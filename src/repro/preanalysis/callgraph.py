@@ -97,111 +97,109 @@ def _span(node: js_ast.Node) -> Span:
 
 
 def build_callgraph(programs: Iterable[js_ast.Program]) -> CallGraph:
+    """Solve the call graph of ``programs`` in one explicit-stack walk
+    (deep nesting needs no recursion) plus a reachability closure."""
     programs = tuple(programs)
-    functions: list[FunctionInfo] = []
+    slots_of = js_ast.CHILD_SLOTS
+    nodes: list[FunctionNode] = []  # fid -> function node
+    entry_count: list[int] = []  # fid -> nodes walked before it
+    sizes: list[int] = []  # fid -> node count of its subtree
     fid_of: dict[int, int] = {}  # id(ast node) -> fid
-    nodes: list[FunctionNode] = []
-
-    for program in programs:
-        for node in program.walk():
-            if isinstance(node, (js_ast.FunctionDeclaration, js_ast.FunctionExpression)):
-                fid = len(functions)
-                fid_of[id(node)] = fid
-                nodes.append(node)
-                functions.append(
-                    FunctionInfo(
-                        fid=fid,
-                        name=node.name or None,
-                        kind=(
-                            "declaration"
-                            if isinstance(node, js_ast.FunctionDeclaration)
-                            else "expression"
-                        ),
-                        span=_span(node),
-                        node_count=js_ast.node_count(node),
-                    )
-                )
-
-    # ------------------------------------------------------------------
-    # Name bindings: which names can denote which function values.
+    # Name bindings: which names can denote which function values. A
+    # bound expression is walked after its binder, so its fid is looked
+    # up once the walk is over.
     bound_to: dict[str, set[int]] = {}
+    bindings: list[tuple[str, js_ast.Expression]] = []
     program_bindings: set[str] = set()
-
-    def bind(name: str, target: js_ast.Expression) -> None:
-        if isinstance(target, js_ast.FunctionExpression):
-            bound_to.setdefault(name, set()).add(fid_of[id(target)])
-
-    for program in programs:
-        for node in program.walk():
-            if isinstance(node, js_ast.FunctionDeclaration):
-                bound_to.setdefault(node.name, set()).add(fid_of[id(node)])
-                program_bindings.add(node.name)
-                program_bindings.update(node.params)
-            elif isinstance(node, js_ast.FunctionExpression):
-                if node.name:
-                    bound_to.setdefault(node.name, set()).add(fid_of[id(node)])
-                    program_bindings.add(node.name)
-                program_bindings.update(node.params)
-            elif isinstance(node, js_ast.VariableDeclarator):
-                program_bindings.add(node.name)
-                if node.init is not None:
-                    bind(node.name, node.init)
-            elif isinstance(node, js_ast.AssignmentExpression):
-                if isinstance(node.target, js_ast.Identifier):
-                    program_bindings.add(node.target.name)
-                    bind(node.target.name, node.value)
-                elif isinstance(node.target, js_ast.MemberExpression):
-                    prop = static_property_name(node.target)
-                    if prop is not None:
-                        bind(prop, node.value)
-            elif isinstance(node, js_ast.Property):
-                bind(node.key, node.value)
-            elif isinstance(node, js_ast.ForInStatement):
-                program_bindings.add(node.variable)
-            elif isinstance(node, js_ast.CatchClause):
-                program_bindings.add(node.param)
-
-    # ------------------------------------------------------------------
     # Ownership: the enclosing *declaration* region of every node. A
     # function expression's body belongs to the region that contains it
     # (it can run whenever that region runs); a nested declaration opens
     # its own region (it runs only if something references its name).
-    owner_of: dict[int, int] = {}
-
-    def assign_owner(node: js_ast.Node, region: int) -> None:
-        owner_of[id(node)] = region
-        for child in node.children():
-            if isinstance(child, js_ast.FunctionDeclaration):
-                assign_owner(child, fid_of[id(child)])
-            else:
-                assign_owner(child, region)
-
-    for program in programs:
-        owner_of[id(program)] = TOP_LEVEL
-        for statement in program.body:
-            if isinstance(statement, js_ast.FunctionDeclaration):
-                assign_owner(statement, fid_of[id(statement)])
-            else:
-                assign_owner(statement, TOP_LEVEL)
-
     # A function expression is *activated* with its region; a nested
     # declaration is activated when its name is referenced from an
     # active region. References are identifier mentions plus property
     # names that some binding ties to a function.
     mentions: dict[int, set[str]] = {}  # region -> names mentioned
     inline: dict[int, set[int]] = {}  # region -> expression fids inside it
+    calls: list[tuple[js_ast.CallExpression | js_ast.NewExpression, int]] = []
+    count = 0
 
     for program in programs:
-        for node in program.walk():
-            region = owner_of[id(node)]
-            if isinstance(node, js_ast.Identifier):
+        # Entries are (node, region); (None, fid) closes function fid.
+        stack: list[tuple[js_ast.Node | None, int]] = [(program, TOP_LEVEL)]
+        while stack:
+            node, region = stack.pop()
+            if node is None:
+                sizes[region] = count - entry_count[region]
+                continue
+            count += 1
+            cls = type(node)
+            if cls is js_ast.Identifier:
                 mentions.setdefault(region, set()).add(node.name)
-            elif isinstance(node, js_ast.MemberExpression):
+            elif cls is js_ast.MemberExpression:
                 prop = static_property_name(node)
                 if prop is not None:
                     mentions.setdefault(region, set()).add(prop)
-            elif isinstance(node, js_ast.FunctionExpression):
-                inline.setdefault(region, set()).add(fid_of[id(node)])
+            elif cls is js_ast.FunctionDeclaration or cls is js_ast.FunctionExpression:
+                fid = len(nodes)
+                fid_of[id(node)] = fid
+                nodes.append(node)
+                entry_count.append(count - 1)
+                sizes.append(0)
+                program_bindings.update(node.params)
+                if cls is js_ast.FunctionDeclaration or node.name:
+                    bound_to.setdefault(node.name, set()).add(fid)
+                    program_bindings.add(node.name)
+                if cls is js_ast.FunctionDeclaration:
+                    region = fid
+                else:
+                    inline.setdefault(region, set()).add(fid)
+                stack.append((None, fid))
+            elif cls is js_ast.VariableDeclarator:
+                program_bindings.add(node.name)
+                if node.init is not None:
+                    bindings.append((node.name, node.init))
+            elif cls is js_ast.AssignmentExpression:
+                if isinstance(node.target, js_ast.Identifier):
+                    program_bindings.add(node.target.name)
+                    bindings.append((node.target.name, node.value))
+                elif isinstance(node.target, js_ast.MemberExpression):
+                    prop = static_property_name(node.target)
+                    if prop is not None:
+                        bindings.append((prop, node.value))
+            elif cls is js_ast.Property:
+                bindings.append((node.key, node.value))
+            elif cls is js_ast.ForInStatement:
+                program_bindings.add(node.variable)
+            elif cls is js_ast.CatchClause:
+                program_bindings.add(node.param)
+            elif cls is js_ast.CallExpression or cls is js_ast.NewExpression:
+                calls.append((node, region))
+            for name, many in slots_of[cls]:
+                value = getattr(node, name)
+                if many:
+                    stack.extend((child, region) for child in reversed(value))
+                elif value is not None:
+                    stack.append((value, region))
+
+    for name, target in bindings:
+        if isinstance(target, js_ast.FunctionExpression):
+            bound_to.setdefault(name, set()).add(fid_of[id(target)])
+
+    functions = tuple(
+        FunctionInfo(
+            fid=fid,
+            name=node.name or None,
+            kind=(
+                "declaration"
+                if isinstance(node, js_ast.FunctionDeclaration)
+                else "expression"
+            ),
+            span=_span(node),
+            node_count=sizes[fid],
+        )
+        for fid, node in enumerate(nodes)
+    )
 
     reachable: set[int] = set()
     frontier = [TOP_LEVEL]
@@ -225,30 +223,21 @@ def build_callgraph(programs: Iterable[js_ast.Program]) -> CallGraph:
     # ------------------------------------------------------------------
     # Call sites.
     sites: list[CallSite] = []
-    for program in programs:
-        for node in program.walk():
-            if isinstance(node, (js_ast.CallExpression, js_ast.NewExpression)):
-                name = callee_name(node.callee)
-                if name is None and isinstance(node.callee, js_ast.MemberExpression):
-                    name = static_property_name(node.callee)
-                callees: frozenset[int]
-                if isinstance(node.callee, js_ast.FunctionExpression):
-                    callees = frozenset({fid_of[id(node.callee)]})
-                elif name is not None:
-                    callees = frozenset(bound_to.get(name, ()))
-                else:
-                    callees = frozenset()
-                sites.append(
-                    CallSite(
-                        caller=owner_of[id(node)],
-                        callee_name=name,
-                        callees=callees,
-                        span=_span(node),
-                    )
-                )
+    for node, region in calls:
+        name = callee_name(node.callee)
+        callees: frozenset[int]
+        if isinstance(node.callee, js_ast.FunctionExpression):
+            callees = frozenset({fid_of[id(node.callee)]})
+        elif name is not None:
+            callees = frozenset(bound_to.get(name, ()))
+        else:
+            callees = frozenset()
+        sites.append(
+            CallSite(caller=region, callee_name=name, callees=callees, span=_span(node))
+        )
 
     return CallGraph(
-        functions=tuple(functions),
+        functions=functions,
         sites=tuple(sites),
         reachable=frozenset(reachable),
         bound_names=frozenset(bound_to),

@@ -218,44 +218,25 @@ class ConstantStringEnv:
         return KEY_TOP
 
 
-def solve_environment(programs: Iterable[js_ast.Program]) -> ConstantStringEnv:
-    """Collect and solve the flow-insensitive string constraints of a
-    whole program (possibly multi-file: constraints union across files,
-    matching the conflated global scope of the lowered bundle)."""
+def solve_constraints(
+    constraints: Iterable[tuple[str, js_ast.Expression | None]],
+    program_blocked: Iterable[str],
+) -> ConstantStringEnv:
+    """Solve the flow-insensitive string constraints of a whole program
+    (possibly multi-file: constraints union across files, matching the
+    conflated global scope of the lowered bundle), as collected by
+    :func:`repro.lint.surface.scan_programs`.
+
+    ``constraints`` pairs a name with each expression plainly assigned
+    to it (``None``: declared without initializer). ``program_blocked``
+    are the names the program binds in ways the lattice does not model —
+    parameters, function and catch names, ``for-in`` variables, compound
+    assignment and update targets — and are read as ⊤ along with the
+    environment's globals.
+    """
     blocked: set[str] = set(_ALWAYS_TOP_NAMES)
     blocked.update(_env_globals())
-    constraints: list[tuple[str, js_ast.Expression | None]] = []
-
-    for program in programs:
-        for node in program.walk():
-            if isinstance(node, js_ast.VariableDeclarator):
-                constraints.append((node.name, node.init))
-            elif isinstance(node, js_ast.AssignmentExpression):
-                if isinstance(node.target, js_ast.Identifier):
-                    if node.operator == "=":
-                        constraints.append((node.target.name, node.value))
-                    else:
-                        # Compound assignment mixes the old value with
-                        # arithmetic we do not track.
-                        blocked.add(node.target.name)
-            elif isinstance(node, js_ast.UpdateExpression):
-                if isinstance(node.argument, js_ast.Identifier):
-                    blocked.add(node.argument.name)
-            elif isinstance(node, js_ast.ForInStatement):
-                # Enumerates arbitrary property names.
-                blocked.add(node.variable)
-            elif isinstance(
-                node, (js_ast.FunctionDeclaration, js_ast.FunctionExpression)
-            ):
-                # Parameters receive arbitrary call arguments (including
-                # environment-made values at event dispatch); a function
-                # name is bound to a closure whose string coercion the
-                # machine tracks as ⊤.
-                blocked.update(node.params)
-                if node.name:
-                    blocked.add(node.name)
-            elif isinstance(node, js_ast.CatchClause):
-                blocked.add(node.param)
+    blocked.update(program_blocked)
 
     values: dict[str, KeyValue] = {}
     env = ConstantStringEnv(values, frozenset(blocked))

@@ -42,9 +42,12 @@ incomplete:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.js import ast as js_ast
-from repro.lint.rules import static_property_name
+
+if TYPE_CHECKING:
+    from repro.lint.surface import ProgramScan
 
 #: Refusal reasons, in decision order.
 REASON_OK = "ok"
@@ -78,27 +81,6 @@ class PruneResult:
     removed: tuple[str, ...] = ()
 
 
-def _mentioned_names(
-    statement: js_ast.Node, resolved: dict[int, frozenset[str]]
-) -> set[str]:
-    """Every name ``statement`` can mention: identifiers, static
-    property names, object-literal keys, and the resolved name sets of
-    computed property sites."""
-    names: set[str] = set()
-    for node in statement.walk():
-        if isinstance(node, js_ast.Identifier):
-            names.add(node.name)
-        elif isinstance(node, js_ast.MemberExpression):
-            prop = static_property_name(node)
-            if prop is not None:
-                names.add(prop)
-            else:
-                names.update(resolved.get(id(node), ()))
-        elif isinstance(node, js_ast.Property):
-            names.add(node.key)
-    return names
-
-
 def prune_programs(
     programs: tuple[js_ast.Program, ...],
     *,
@@ -106,6 +88,7 @@ def prune_programs(
     dynamic_code: bool,
     residual_dynamic_sites: int,
     resolved: dict[int, frozenset[str]] | None = None,
+    scan: "ProgramScan | None" = None,
 ) -> PruneResult:
     """Prune unreferenced top-level function declarations across a
     (possibly multi-file) program, or refuse with a typed reason.
@@ -113,6 +96,12 @@ def prune_programs(
     Liveness is computed over the *union* of all files: webext bundles
     conflate the global scope when lowered, so a name mentioned in any
     component keeps the declaration in every component.
+
+    A statement's mentions are its identifiers, static property names,
+    object-literal keys, and the ``resolved`` name sets of its computed
+    property sites. They come from ``scan`` (a
+    :func:`repro.lint.surface.scan_programs` of ``programs``), which is
+    walked here when not given.
     """
     if degraded:
         decision = PruneDecision(pruned=False, reason=REASON_DEGRADED)
@@ -124,45 +113,41 @@ def prune_programs(
         decision = PruneDecision(pruned=False, reason=REASON_DYNAMIC_PROPERTIES)
         return PruneResult(programs=programs, decision=decision, pruned_nodes=0)
     resolved = resolved if resolved is not None else {}
+    if scan is None:
+        from repro.lint.surface import scan_programs
 
-    # Candidates: top-level declarations, keyed by name. Two candidates
-    # may share a name (later one wins at runtime); liveness treats the
-    # name once — mentioned keeps both, unmentioned prunes both.
-    candidates: list[tuple[js_ast.Program, js_ast.FunctionDeclaration]] = []
-    for program in programs:
-        for statement in program.body:
-            if isinstance(statement, js_ast.FunctionDeclaration):
-                candidates.append((program, statement))
-    if not candidates:
+        scan = scan_programs(programs)
+
+    # Candidates: top-level declarations. Two candidates may share a
+    # name (later one wins at runtime); liveness treats the name once —
+    # mentioned keeps both, unmentioned prunes both.
+    if not scan.declarations:
         decision = PruneDecision(pruned=True, reason=REASON_OK)
         return PruneResult(programs=programs, decision=decision, pruned_nodes=0)
-
-    candidate_names = {declaration.name for _program, declaration in candidates}
+    mentions = scan.mentions_with(resolved)
+    # The scan gives every candidate its own mention set (in walk
+    # order) and folds all other top-level statements into entry 0.
+    candidates = [
+        (declaration, mentions[unit], size)
+        for unit, (declaration, size) in enumerate(scan.declarations, start=1)
+    ]
+    candidate_names = {declaration.name for declaration, _m, _s in candidates}
 
     # Fixpoint: a candidate is live when its name is mentioned by any
     # live statement. Non-candidate top-level statements are always
     # live; a live candidate's body counts as live code (it may hold the
     # only mention of another candidate).
     live_names: set[str] = set()
-    base_mentions: set[str] = set()
-    for program in programs:
-        for statement in program.body:
-            if not isinstance(statement, js_ast.FunctionDeclaration):
-                base_mentions.update(_mentioned_names(statement, resolved))
-    body_mentions = {
-        id(declaration): _mentioned_names(declaration, resolved)
-        for _program, declaration in candidates
-    }
-
-    frontier = candidate_names & base_mentions
+    frontier = candidate_names & mentions[0]
     while frontier:
         live_names.update(frontier)
         newly: set[str] = set()
-        for _program, declaration in candidates:
+        for declaration, body_mentions, _size in candidates:
             if declaration.name in live_names:
-                newly.update(body_mentions[id(declaration)])
+                newly.update(body_mentions)
         frontier = (candidate_names & newly) - live_names
 
+    sizes = {id(declaration): size for declaration, _m, size in candidates}
     removed: list[str] = []
     pruned_nodes = 0
     new_programs: list[js_ast.Program] = []
@@ -175,7 +160,7 @@ def prune_programs(
                 and statement.name not in live_names
             ):
                 removed.append(statement.name)
-                pruned_nodes += js_ast.node_count(statement)
+                pruned_nodes += sizes[id(statement)]
                 changed = True
             else:
                 body.append(statement)

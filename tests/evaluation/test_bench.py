@@ -87,6 +87,17 @@ class TestDegenerateCorpora:
         assert section["hit_rate_with_preanalysis"] is None
         assert section["identical_signatures"]
 
+    def test_preanalysis_section_counts_call_edges_outside_vetting(self, tmp_path):
+        from repro.evaluation.bench import _bench_preanalysis
+
+        # Vetting builds no call graph, so the section builds it: two
+        # calls of one declaration, and nothing for an unlexable file.
+        (tmp_path / "calls.js").write_text("function f() {}\nf();\nf();\n")
+        (tmp_path / "broken.js").write_text("var s = 'unterminated;\n")
+        section = _bench_preanalysis(tmp_path)
+        assert section["addons"] == 2
+        assert section["callgraph_edges"] == 2
+
     def test_missing_dirs_still_skip_the_section(self, tmp_path):
         from repro.evaluation.bench import (
             _bench_incremental,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.js import ast as js_ast
 from repro.js.parser import parse
 from repro.lint import lint_source
 from repro.preanalysis import build_callgraph
@@ -95,3 +96,50 @@ class TestLintRules:
         # Property callees resolve against the environment's objects,
         # which the name-binding table does not model: stay quiet.
         assert "CG002" not in _rules_of("chrome.tabs.query({});")
+
+
+class TestDeepNesting:
+    """The builder walks with an explicit stack: nesting depth is not
+    bounded by Python's recursion limit."""
+
+    def test_nested_array_literals(self):
+        graph = _graph("var a = " + "[" * 3000 + "]" * 3000 + ";")
+        assert graph.functions == () and graph.sites == ()
+
+    def test_nested_ifs(self):
+        graph = _graph(
+            "var x = 0;\n" + "if (x) {\n" * 1500 + "g();\n" + "}\n" * 1500
+        )
+        [site] = graph.sites
+        assert site.callee_name == "g" and not site.callees
+
+    def test_nested_functions(self):
+        graph = _graph("function f() {\n" * 800 + "}\n" * 800 + "f();")
+        assert len(graph.functions) == 800
+        # Each declaration's node count covers its own subtree: itself,
+        # its block, and the levels below it.
+        assert [info.node_count for info in graph.functions] == [
+            2 * (800 - depth) for depth in range(800)
+        ]
+        # Bindings collapse on the name: the top-level call can invoke
+        # every f, so every f is reachable.
+        assert graph.reachable == frozenset(range(800))
+        [site] = graph.sites
+        assert len(site.callees) == 800
+
+    def test_function_node_counts_match_node_count(self):
+        from repro.js import node_count, parse
+
+        program = parse(
+            "var o = { m: function (a) { return function () { a(); }; } };\n"
+            "function outer() { function inner(b) { return b + 1; } }"
+        )
+        graph = build_callgraph((program,))
+        functions = [
+            node
+            for node in program.walk()
+            if isinstance(node, (js_ast.FunctionDeclaration, js_ast.FunctionExpression))
+        ]
+        assert [info.node_count for info in graph.functions] == [
+            node_count(node) for node in functions
+        ]

@@ -334,6 +334,17 @@ class TestSummarizeAllPoison:
         assert summary["failures"] == {}
         assert summary["diff_verdicts"] == {}
 
+    def test_preanalysis_block_has_no_call_graph_count(self, tmp_path):
+        # Vetting builds no call graph, so a summed edge count would read 0.
+        outcomes = vet_many(
+            ["function f() {}\nf();", "var a = o['k'];"], cache_dir=tmp_path
+        )
+        block = batch.summarize(outcomes)["preanalysis"]
+        assert set(block) == {
+            "resolved_sites", "residual_dynamic_sites", "pruned_nodes",
+            "pruned_addons",
+        }
+
 
 class TestEngineShape:
     def test_string_items_get_default_names(self, tmp_path):
