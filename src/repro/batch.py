@@ -119,7 +119,7 @@ class VetTask:
     #: ``repro.lint.surface``). On by default in batch vetting.
     prefilter: bool = True
     #: Run the whole-program pre-analysis (computed-property resolution,
-    #: call graph, sound pruning) between parsing and lowering. On by
+    #: sound pruning) between parsing and lowering. On by
     #: default; signatures are bit-identical either way (the resolution
     #: only *demotes* dynamic-property refusals, and pruning is proven
     #: signature-preserving — see ``repro.preanalysis``).

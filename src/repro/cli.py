@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scaling.add_argument(
         "--runs", type=int, default=3,
-        help="pipeline runs per size (first discarded; medians reported)",
+        help="pipeline runs per size (first discarded; best-of reported)",
     )
     scaling.add_argument("--k", type=int, default=1)
     scaling.add_argument("--output", default="BENCH_scaling.json")

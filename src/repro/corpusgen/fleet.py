@@ -25,18 +25,27 @@ sections.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
 from pathlib import Path
 
-from repro.batch import VetTask, summarize, vet_many
+from repro.batch import VetOutcome, VetTask, summarize
 from repro.corpusgen.generator import (
     GeneratedAddon,
     GeneratedUpdate,
     generate_corpus,
     generate_updates,
+)
+from repro.evaluation.bench import (
+    SCHEMA,
+    _hit_rate,
+    counter_total,
+    identical_signatures,
+    merge_report,
+    tally,
+    timed_sweep,
+    wall_arms,
 )
 
 #: The keys every ``fleet`` section must carry — CI fails on drift.
@@ -77,33 +86,44 @@ def _tasks(corpus: list[GeneratedAddon], *, prefilter: bool = True) -> list[VetT
     ]
 
 
-def _check_signatures(
-    corpus: list[GeneratedAddon], outcomes, mismatches: list[dict], arm: str
-) -> None:
-    """Every outcome must be clean and bit-identical to its expected
-    signature; anything else is a recorded mismatch."""
-    for addon, outcome in zip(corpus, outcomes):
+def _check(arm: str, expected, outcomes, mismatches: list[dict]) -> int:
+    """Hold every outcome to what its generated addon or update pair
+    expects: clean, bit-identical to the expected signature, and (for an
+    update) one of the acceptable diff verdicts. Each miss is recorded
+    in ``mismatches``; returns how many outcomes held."""
+    held = 0
+    for item, outcome in zip(expected, outcomes):
+        record = {"name": item.name, "arm": arm}
         if not outcome.ok:
             mismatches.append({
-                "name": addon.name, "arm": arm, "kind": "error",
+                **record, "kind": "error",
                 "detail": f"{outcome.failure}: {outcome.error}",
             })
-        elif outcome.signature_text != addon.expected_signature:
+            continue
+        update = isinstance(item, GeneratedUpdate)
+        signature = item.new_expected if update else item.expected_signature
+        before = len(mismatches)
+        if outcome.signature_text != signature:
             mismatches.append({
-                "name": addon.name, "arm": arm, "kind": "signature",
-                "expected": addon.expected_signature,
-                "got": outcome.signature_text,
+                **record, "kind": "signature",
+                "expected": signature, "got": outcome.signature_text,
             })
+        if update and outcome.diff_verdict not in item.expected_verdicts:
+            mismatches.append({
+                **record, "kind": "verdict", "mutation": item.mutation,
+                "expected": list(item.expected_verdicts),
+                "got": outcome.diff_verdict,
+            })
+        held += len(mismatches) == before
+    return held
 
 
 def _sweep_throughput(
     corpus: list[GeneratedAddon], workers: int | None,
     mismatches: list[dict],
 ) -> tuple[list, dict]:
-    start = time.perf_counter()
-    outcomes = vet_many(_tasks(corpus), workers=workers, use_cache=False)
-    wall = time.perf_counter() - start
-    _check_signatures(corpus, outcomes, mismatches, "throughput")
+    outcomes, wall = timed_sweep(_tasks(corpus), workers=workers, use_cache=False)
+    _check("throughput", corpus, outcomes, mismatches)
     cores = os.cpu_count() or 1
     effective = min(workers or cores, cores)
     rate = len(corpus) / wall if wall > 0 else None
@@ -141,35 +161,24 @@ def _sweep_prefilter(
 ) -> dict:
     """The control arm: the same corpus with the prefilter off. The
     throughput sweep above is the on arm (no extra wall clock)."""
-    start = time.perf_counter()
-    off = vet_many(
+    off, wall_off = timed_sweep(
         _tasks(corpus, prefilter=False), workers=workers, use_cache=False
     )
-    wall_off = time.perf_counter() - start
-    _check_signatures(corpus, off, mismatches, "prefilter-off")
-    hits = sum(1 for outcome in on_outcomes if outcome.prefiltered)
-    hits_plain = sum(
-        1 for addon in corpus if _prefiltered_without_resolution(addon)
-    )
+    _check("prefilter-off", corpus, off, mismatches)
+    hits = sum(outcome.prefiltered for outcome in on_outcomes)
+    hits_plain = sum(map(_prefiltered_without_resolution, corpus))
     return {
         "addons": len(corpus),
         "hits": hits,
-        "hit_rate": round(hits / len(corpus), 4) if corpus else None,
+        "hit_rate": _hit_rate(hits, len(corpus)),
         # The same decision without the pre-analysis resolver: computed
         # sites all read as dynamic, so addons whose only dynamism is a
         # provably-constant key fall out of the fast lane.
         "hits_without_resolution": hits_plain,
-        "hit_rate_without_resolution": (
-            round(hits_plain / len(corpus), 4) if corpus else None
-        ),
+        "hit_rate_without_resolution": _hit_rate(hits_plain, len(corpus)),
         "resolution_gain": hits - hits_plain,
-        "wall_on_s": round(on_wall, 6),
-        "wall_off_s": round(wall_off, 6),
-        "wall_delta_s": round(wall_off - on_wall, 6),
-        "identical_signatures": all(
-            a.signature_text == b.signature_text
-            for a, b in zip(on_outcomes, off)
-        ),
+        **wall_arms(on_wall, wall_off),
+        "identical_signatures": identical_signatures(on_outcomes, off),
     }
 
 
@@ -179,24 +188,20 @@ def _sweep_cache(
     """Cold then warm against a fresh cache directory: the hit rate and
     speedup a vetting service sees under re-submission traffic."""
     with tempfile.TemporaryDirectory(prefix="fleet-cache-") as cache_dir:
-        start = time.perf_counter()
-        vet_many(
+        _, cold_wall = timed_sweep(
             _tasks(corpus), workers=workers, use_cache=True,
             cache_dir=cache_dir,
         )
-        cold_wall = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = vet_many(
+        warm, warm_wall = timed_sweep(
             _tasks(corpus), workers=workers, use_cache=True,
             cache_dir=cache_dir,
         )
-        warm_wall = time.perf_counter() - start
-    _check_signatures(corpus, warm, mismatches, "cache-warm")
-    hits = sum(1 for outcome in warm if outcome.cached)
+    _check("cache-warm", corpus, warm, mismatches)
+    hits = sum(outcome.cached for outcome in warm)
     return {
         "addons": len(corpus),
         "hits": hits,
-        "hit_rate": round(hits / len(corpus), 4) if corpus else None,
+        "hit_rate": _hit_rate(hits, len(corpus)),
         "cold_wall_s": round(cold_wall, 6),
         "warm_wall_s": round(warm_wall, 6),
         "speedup": (
@@ -228,71 +233,29 @@ def _sweep_updates(
     on vs. off. Baselines come from the generator (the old version's
     expected signature *is* its vetted signature — checked by the
     single-addon sweeps), so no extra old-version vetting run is paid."""
-    start = time.perf_counter()
-    fast = vet_many(
+    fast, wall_fast = timed_sweep(
         _update_tasks(updates, incremental=True),
         workers=workers, use_cache=False,
     )
-    wall_fast = time.perf_counter() - start
-    start = time.perf_counter()
-    full = vet_many(
+    full, wall_full = timed_sweep(
         _update_tasks(updates, incremental=False),
         workers=workers, use_cache=False,
     )
-    wall_full = time.perf_counter() - start
-
-    verdicts: dict[str, int] = {}
-    for update, fast_outcome, full_outcome in zip(updates, fast, full):
-        for arm, outcome in (("update-fast", fast_outcome),
-                             ("update-full", full_outcome)):
-            if not outcome.ok:
-                mismatches.append({
-                    "name": update.name, "arm": arm, "kind": "error",
-                    "detail": f"{outcome.failure}: {outcome.error}",
-                })
-                continue
-            if outcome.signature_text != update.new_expected:
-                mismatches.append({
-                    "name": update.name, "arm": arm, "kind": "signature",
-                    "expected": update.new_expected,
-                    "got": outcome.signature_text,
-                })
-            if outcome.diff_verdict not in update.expected_verdicts:
-                mismatches.append({
-                    "name": update.name, "arm": arm, "kind": "verdict",
-                    "mutation": update.mutation,
-                    "expected": list(update.expected_verdicts),
-                    "got": outcome.diff_verdict,
-                })
-        if fast_outcome.diff_verdict:
-            verdicts[fast_outcome.diff_verdict] = (
-                verdicts.get(fast_outcome.diff_verdict, 0) + 1
-            )
-
-    hits = sum(1 for outcome in fast if outcome.incremental)
+    _check("update-fast", updates, fast, mismatches)
+    _check("update-full", updates, full, mismatches)
+    hits = sum(outcome.incremental for outcome in fast)
     return {
         "pairs": len(updates),
         "hits": hits,
-        "hit_rate": round(hits / len(updates), 4) if updates else None,
-        "certifications_attempted": sum(
-            o.counters.get("certification_attempted", 0) for o in fast
+        "hit_rate": _hit_rate(hits, len(updates)),
+        "certifications_attempted": counter_total(
+            fast, "certification_attempted"
         ),
-        "certifications_skipped": sum(
-            o.counters.get("certification_skipped", 0) for o in fast
-        ),
-        "wall_incremental_s": round(wall_fast, 6),
-        "wall_full_s": round(wall_full, 6),
-        "wall_delta_s": round(wall_full - wall_fast, 6),
-        "verdicts": verdicts,
-        "mutations": _count(update.mutation for update in updates),
+        "certifications_skipped": counter_total(fast, "certification_skipped"),
+        **wall_arms(wall_fast, wall_full, "wall_incremental_s", "wall_full_s"),
+        "verdicts": tally(o.diff_verdict for o in fast if o.diff_verdict),
+        "mutations": tally(update.mutation for update in updates),
     }
-
-
-def _count(items) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for item in items:
-        counts[item] = counts.get(item, 0) + 1
-    return dict(sorted(counts.items()))
 
 
 def _sweep_service(
@@ -323,26 +286,13 @@ def _sweep_service(
             for job_id in job_ids:
                 handle.client.wait(job_id, timeout=300.0)
                 payload = handle.client.result(job_id)["outcome"]
-                outcomes.append(payload)
+                outcomes.append(VetOutcome.from_json(payload))
             wall = time.perf_counter() - start
         finally:
             handle.stop()
-    hits = 0
-    for addon, outcome in zip(subset, outcomes):
-        if outcome.get("ok") and (
-            outcome.get("signature_text") == addon.expected_signature
-        ):
-            hits += 1
-        else:
-            mismatches.append({
-                "name": addon.name, "arm": "service",
-                "kind": "signature" if outcome.get("ok") else "error",
-                "expected": addon.expected_signature,
-                "got": outcome.get("signature_text") or outcome.get("error"),
-            })
     return {
         "addons": len(subset),
-        "ok": hits,
+        "ok": _check("service", subset, outcomes, mismatches),
         "wall_s": round(wall, 6),
     }
 
@@ -389,10 +339,10 @@ def run_fleet(
             "bundles": sum(1 for a in corpus if a.kind == "bundle"),
             "benign": sum(1 for a in corpus if not a.expected_entries),
             "dynamic": sum(1 for a in corpus if a.dynamic),
-            "fragments": _count(
+            "fragments": tally(
                 kind for addon in corpus for kind in addon.fragments
             ),
-            "mutations": _count(
+            "mutations": tally(
                 name for addon in corpus for name in addon.mutations
             ),
         },
@@ -416,21 +366,7 @@ def run_fleet(
 def merge_fleet_section(path: Path, section: dict) -> dict:
     """Merge the ``fleet`` section into the bench report at ``path``,
     preserving every other section, and stamp schema v8."""
-    from repro.evaluation.bench import SCHEMA
-    from repro.store import atomic_write_json
-
-    report: dict = {}
-    if path.exists():
-        try:
-            report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = {}
-    if not isinstance(report, dict):
-        report = {}
-    report["schema"] = SCHEMA
-    report["fleet"] = section
-    atomic_write_json(path, report, fsync=False)
-    return report
+    return merge_report(path, {"schema": SCHEMA, "fleet": section})
 
 
 def render_fleet(section: dict) -> str:

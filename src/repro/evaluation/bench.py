@@ -16,22 +16,15 @@ Run: ``addon-sig bench [--runs N] [--workers N] [--output FILE]``.
 
 from __future__ import annotations
 
-import argparse
+import json
 import time
+from collections import Counter
 from pathlib import Path
 
 from repro.addons import CORPUS
-from repro.batch import summarize, vet_corpus, vet_many
+from repro.batch import VetTask, summarize, vet_corpus, vet_many
 
 SCHEMA = "addon-sig/bench-corpus/v8"
-
-
-def _hit_rate(hits: int, total: int) -> float | None:
-    """``hits/total`` rounded — or ``None`` (a null rate, not a crash)
-    when the corpus was empty or fully filtered and ``total`` is 0."""
-    if total == 0:
-        return None
-    return round(hits / total, 4)
 
 #: Where the examples corpus (the prefilter's benchmark) lives.
 EXAMPLES_DIR = "examples/addons"
@@ -44,6 +37,90 @@ VERSIONS_DIR = "examples/addons/versions"
 EXTENSIONS_DIR = "examples/extensions"
 
 
+# ----------------------------------------------------------------------
+# The sweep and statistics layer shared by every harness (this report,
+# ``addon-sig fleet`` and ``addon-sig service-bench``)
+
+
+def timed_sweep(tasks: list[VetTask], **options) -> tuple[list, float]:
+    """``vet_many(tasks, **options)`` and its end-to-end wall clock."""
+    start = time.perf_counter()
+    outcomes = vet_many(tasks, **options)
+    return outcomes, time.perf_counter() - start
+
+
+def wall_arms(
+    on: float, off: float, on_key: str = "wall_on_s", off_key: str = "wall_off_s"
+) -> dict:
+    """The wall clocks of an on/off comparison and their delta."""
+    return {
+        on_key: round(on, 6),
+        off_key: round(off, 6),
+        "wall_delta_s": round(off - on, 6),
+    }
+
+
+def identical_signatures(first, second) -> bool:
+    """Did two sweeps over the same tasks infer bit-identical signatures?"""
+    return all(
+        a.signature_text == b.signature_text for a, b in zip(first, second)
+    )
+
+
+def counter_total(outcomes, name: str) -> int:
+    """One hot-path counter summed over a sweep."""
+    return sum(outcome.counters.get(name, 0) for outcome in outcomes)
+
+
+def tally(items) -> dict[str, int]:
+    """Occurrences per distinct item, keyed in sorted order."""
+    return dict(sorted(Counter(items).items()))
+
+
+def _hit_rate(hits: int, total: int) -> float | None:
+    """``hits/total`` rounded — or ``None`` (a null rate, not a crash)
+    when the corpus was empty or fully filtered and ``total`` is 0."""
+    if total == 0:
+        return None
+    return round(hits / total, 4)
+
+
+def merge_report(
+    path: str | Path, sections: dict, keep: tuple[str, ...] | None = None
+) -> dict:
+    """Write ``sections`` into the JSON report at ``path``; returns the
+    written report. The sections already there survive unless
+    ``sections`` replaces them — all of them, or with ``keep`` only the
+    named ones. An unreadable or non-object report counts as empty."""
+    from repro.store import atomic_write_json
+
+    path = Path(path)
+    try:
+        previous = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        previous = {}
+    report = dict(sections)
+    if isinstance(previous, dict):
+        report.update(
+            (key, value) for key, value in previous.items()
+            if key not in sections and (keep is None or key in keep)
+        )
+    atomic_write_json(path, report, fsync=False)
+    return report
+
+
+# ----------------------------------------------------------------------
+# The side-corpus sections
+
+
+def _js_files(examples_dir: str | Path | None) -> list[Path] | None:
+    """The ``*.js`` files of a side corpus, or ``None`` (section skipped)
+    when there is no such directory."""
+    if examples_dir is None or not Path(examples_dir).is_dir():
+        return None
+    return sorted(Path(examples_dir).glob("*.js"))
+
+
 def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
     """Measure the relevance prefilter on the examples corpus.
 
@@ -52,23 +129,9 @@ def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
     corpus deliberately contains an unparseable legacy addon). Returns
     the hit rate, both wall clocks, and whether the two sweeps produced
     bit-identical signatures (they must: the prefilter is sound)."""
-    from repro.batch import VetTask
-
-    if examples_dir is None:
+    files = _js_files(examples_dir)
+    if files is None:
         return None
-    directory = Path(examples_dir)
-    if not directory.is_dir():
-        return None
-    files = sorted(directory.glob("*.js"))
-    if not files:
-        # The directory exists but holds nothing vettable (empty or
-        # fully filtered): a zero-count section with a null rate — the
-        # old ``hits / len(files)`` was a ZeroDivisionError here.
-        return {
-            "corpus": str(directory), "addons": 0, "hits": 0,
-            "hit_rate": None, "wall_on_s": 0.0, "wall_off_s": 0.0,
-            "wall_delta_s": 0.0, "identical_signatures": True,
-        }
 
     def tasks(prefilter: bool) -> list[VetTask]:
         return [
@@ -81,25 +144,16 @@ def _bench_prefilter(examples_dir: str | Path | None) -> dict | None:
             for path in files
         ]
 
-    start = time.perf_counter()
-    with_prefilter = vet_many(tasks(True), use_cache=False, workers=1)
-    wall_on = time.perf_counter() - start
-    start = time.perf_counter()
-    without_prefilter = vet_many(tasks(False), use_cache=False, workers=1)
-    wall_off = time.perf_counter() - start
-    hits = sum(1 for outcome in with_prefilter if outcome.prefiltered)
+    on, wall_on = timed_sweep(tasks(True), use_cache=False, workers=1)
+    off, wall_off = timed_sweep(tasks(False), use_cache=False, workers=1)
+    hits = sum(outcome.prefiltered for outcome in on)
     return {
-        "corpus": str(directory),
+        "corpus": str(Path(examples_dir)),
         "addons": len(files),
         "hits": hits,
         "hit_rate": _hit_rate(hits, len(files)),
-        "wall_on_s": round(wall_on, 6),
-        "wall_off_s": round(wall_off, 6),
-        "wall_delta_s": round(wall_off - wall_on, 6),
-        "identical_signatures": all(
-            on.signature_text == off.signature_text
-            for on, off in zip(with_prefilter, without_prefilter)
-        ),
+        **wall_arms(wall_on, wall_off),
+        "identical_signatures": identical_signatures(on, off),
     }
 
 
@@ -128,25 +182,9 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
     the difference), both wall clocks, and whether the arms produced
     bit-identical signatures (they must: resolution and pruning are
     sound)."""
-    from repro.batch import VetTask
-
-    if examples_dir is None:
+    files = _js_files(examples_dir)
+    if files is None:
         return None
-    directory = Path(examples_dir)
-    if not directory.is_dir():
-        return None
-    files = sorted(directory.glob("*.js"))
-    if not files:
-        return {
-            "corpus": str(directory), "addons": 0, "resolved_sites": 0,
-            "residual_dynamic_sites": 0, "resolution_rate": None,
-            "pruned_nodes": 0, "pruned_node_fraction": None,
-            "callgraph_edges": 0, "hits_with_preanalysis": 0,
-            "hit_rate_with_preanalysis": None, "hits_without_preanalysis": 0,
-            "hit_rate_without_preanalysis": None, "wall_on_s": 0.0,
-            "wall_off_s": 0.0, "wall_delta_s": 0.0,
-            "identical_signatures": True,
-        }
 
     def tasks(preanalysis: bool) -> list[VetTask]:
         return [
@@ -160,28 +198,16 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
             for path in files
         ]
 
-    start = time.perf_counter()
-    with_pre = vet_many(tasks(True), use_cache=False, workers=1)
-    wall_on = time.perf_counter() - start
-    start = time.perf_counter()
-    without_pre = vet_many(tasks(False), use_cache=False, workers=1)
-    wall_off = time.perf_counter() - start
-
-    resolved = sum(o.counters.get("resolved_sites", 0) for o in with_pre)
-    residual = sum(
-        o.counters.get("residual_dynamic_sites", 0) for o in with_pre
-    )
-    pruned = sum(o.counters.get("pruned_nodes", 0) for o in with_pre)
-    # Vetting no longer builds the advisory call graph, so it is built
-    # here, outside both timed arms.
-    edges = sum(
-        _callgraph_edges(path.read_text(encoding="utf-8")) for path in files
-    )
-    total_nodes = sum(o.ast_nodes or 0 for o in with_pre)
-    hits_on = sum(1 for o in with_pre if o.prefiltered)
-    hits_off = sum(1 for o in without_pre if o.prefiltered)
+    on, wall_on = timed_sweep(tasks(True), use_cache=False, workers=1)
+    off, wall_off = timed_sweep(tasks(False), use_cache=False, workers=1)
+    resolved = counter_total(on, "resolved_sites")
+    residual = counter_total(on, "residual_dynamic_sites")
+    pruned = counter_total(on, "pruned_nodes")
+    total_nodes = sum(outcome.ast_nodes or 0 for outcome in on)
+    hits_on = sum(outcome.prefiltered for outcome in on)
+    hits_off = sum(outcome.prefiltered for outcome in off)
     return {
-        "corpus": str(directory),
+        "corpus": str(Path(examples_dir)),
         "addons": len(files),
         "resolved_sites": resolved,
         "residual_dynamic_sites": residual,
@@ -192,20 +218,20 @@ def _bench_preanalysis(examples_dir: str | Path | None) -> dict | None:
         "pruned_node_fraction": (
             _hit_rate(pruned, total_nodes + pruned) if total_nodes else None
         ),
-        "callgraph_edges": edges,
+        # Vetting no longer builds the advisory call graph, so it is
+        # built here, outside both timed arms.
+        "callgraph_edges": sum(
+            _callgraph_edges(path.read_text(encoding="utf-8"))
+            for path in files
+        ),
         # The prefilter's hit rate with and without the resolver — the
         # difference is what the pre-analysis buys the fast lane.
         "hits_with_preanalysis": hits_on,
         "hit_rate_with_preanalysis": _hit_rate(hits_on, len(files)),
         "hits_without_preanalysis": hits_off,
         "hit_rate_without_preanalysis": _hit_rate(hits_off, len(files)),
-        "wall_on_s": round(wall_on, 6),
-        "wall_off_s": round(wall_off, 6),
-        "wall_delta_s": round(wall_off - wall_on, 6),
-        "identical_signatures": all(
-            on.signature_text == off.signature_text
-            for on, off in zip(with_pre, without_pre)
-        ),
+        **wall_arms(wall_on, wall_off),
+        "identical_signatures": identical_signatures(on, off),
     }
 
 
@@ -218,25 +244,11 @@ def _bench_incremental(versions_dir: str | Path | None) -> dict | None:
     uncached. Returns the certificate hit count/rate, both wall clocks,
     and whether the fast lane served bit-identical signatures to the
     full re-analysis (it must: the certificate is sound)."""
-    from repro.batch import VetTask
     from repro.diffvet import discover_pairs
 
-    if versions_dir is None:
-        return None
-    if not Path(versions_dir).is_dir():
+    if versions_dir is None or not Path(versions_dir).is_dir():
         return None
     pairs = discover_pairs(versions_dir)
-    if not pairs:
-        # Existing-but-empty chains directory: null rate, zero counts
-        # (the old ``hits / len(pairs)`` divided by zero).
-        return {
-            "corpus": str(versions_dir), "pairs": 0, "hits": 0,
-            "hit_rate": None, "certifications_attempted": 0,
-            "certifications_skipped": 0, "wall_incremental_s": 0.0,
-            "wall_full_s": 0.0, "wall_delta_s": 0.0,
-            "identical_signatures": True, "verdicts": {},
-        }
-
     baselines = vet_many(
         [
             VetTask(name=f"{pair.name}@old", source=pair.old_source(),
@@ -259,24 +271,9 @@ def _bench_incremental(versions_dir: str | Path | None) -> dict | None:
             for pair, baseline in zip(pairs, baselines)
         ]
 
-    start = time.perf_counter()
-    fast = vet_many(tasks(True), use_cache=False, workers=1)
-    wall_incremental = time.perf_counter() - start
-    start = time.perf_counter()
-    full = vet_many(tasks(False), use_cache=False, workers=1)
-    wall_full = time.perf_counter() - start
-    hits = sum(1 for outcome in fast if outcome.incremental)
-    attempted = sum(
-        outcome.counters.get("certification_attempted", 0) for outcome in fast
-    )
-    skipped = sum(
-        outcome.counters.get("certification_skipped", 0) for outcome in fast
-    )
-    verdicts: dict[str, int] = {}
-    for outcome in fast:
-        if outcome.diff_verdict:
-            key = outcome.diff_verdict
-            verdicts[key] = verdicts.get(key, 0) + 1
+    fast, wall_fast = timed_sweep(tasks(True), use_cache=False, workers=1)
+    full, wall_full = timed_sweep(tasks(False), use_cache=False, workers=1)
+    hits = sum(outcome.incremental for outcome in fast)
     return {
         "corpus": str(versions_dir),
         "pairs": len(pairs),
@@ -284,89 +281,74 @@ def _bench_incremental(versions_dir: str | Path | None) -> dict | None:
         "hit_rate": _hit_rate(hits, len(pairs)),
         # The cost gate's economics: certificates attempted vs. skipped
         # because full re-analysis was predicted cheaper.
-        "certifications_attempted": attempted,
-        "certifications_skipped": skipped,
-        "wall_incremental_s": round(wall_incremental, 6),
-        "wall_full_s": round(wall_full, 6),
-        "wall_delta_s": round(wall_full - wall_incremental, 6),
-        "identical_signatures": all(
-            on.signature_text == off.signature_text
-            for on, off in zip(fast, full)
+        "certifications_attempted": counter_total(
+            fast, "certification_attempted"
         ),
-        "verdicts": verdicts,
+        "certifications_skipped": counter_total(fast, "certification_skipped"),
+        **wall_arms(wall_fast, wall_full, "wall_incremental_s", "wall_full_s"),
+        "identical_signatures": identical_signatures(fast, full),
+        "verdicts": tally(o.diff_verdict for o in fast if o.diff_verdict),
     }
 
 
 def _bench_webext(extensions_dir: str | Path | None, runs: int = 3) -> dict | None:
     """Measure the multi-file WebExtensions pipeline on the mini-corpus.
 
-    Each extension directory under ``extensions_dir`` is vetted ``runs``
-    times under the paper's timing protocol (warm-up discarded, per-phase
-    medians of the rest) with the prefilter off, recording the
-    cross-component shape of each run (components, dispatched channels,
-    sender guards). A second single-pass sweep with the prefilter on
-    yields the bundle-level hit rate and the bit-identical-signatures
-    soundness check."""
-    import statistics
-
-    from repro.api import vet
+    Each extension directory under ``extensions_dir`` is vetted with the
+    prefilter off under the engine's timing protocol (``runs`` runs,
+    warm-up discarded, per-phase medians of the rest), recording the
+    cross-component shape (components, dispatched channels, sender
+    guards). A second single-run sweep with the prefilter on yields the
+    bundle-level hit rate and the bit-identical-signatures soundness
+    check."""
     from repro.webext.loader import load_source
 
-    if extensions_dir is None:
-        return None
-    directory = Path(extensions_dir)
-    if not directory.is_dir():
+    if extensions_dir is None or not Path(extensions_dir).is_dir():
         return None
     roots = sorted(
-        child for child in directory.iterdir()
+        child for child in Path(extensions_dir).iterdir()
         if child.is_dir() and (child / "manifest.json").exists()
     )
-    if not roots:
-        # Existing-but-manifestless directory: zero-count section with
-        # a null rate (``hits / len(extensions)`` used to divide by 0).
-        return {
-            "corpus": str(directory), "extensions": [], "count": 0,
-            "prefilter_hits": 0, "prefilter_hit_rate": None,
-            "identical_signatures": True,
-        }
+    sources = [load_source(root) for root in roots]
 
+    def tasks(prefilter: bool, task_runs: int) -> list[VetTask]:
+        return [
+            VetTask(name=root.name, source=source, runs=task_runs,
+                    prefilter=prefilter)
+            for root, source in zip(roots, sources)
+        ]
+
+    timed = vet_many(tasks(False, runs), use_cache=False, workers=1)
+    filtered = vet_many(tasks(True, 1), use_cache=False, workers=1)
     extensions = []
-    hits = 0
-    identical = True
-    for root in roots:
-        source = load_source(root)
-        samples = [vet(source, prefilter=False) for _ in range(max(runs, 1))]
-        kept = samples[1:] if len(samples) > 1 else samples
-        report = kept[-1]
-        filtered = vet(source, prefilter=True)
-        if filtered.prefiltered:
-            hits += 1
-        if filtered.signature.render() != report.signature.render():
-            identical = False
+    for outcome, hit in zip(timed, filtered):
+        if not outcome.ok:
+            raise RuntimeError(f"{outcome.name}: {outcome.error}")
         extensions.append({
-            "name": root.name,
-            "degraded": report.degraded,
-            "prefiltered": filtered.prefiltered,
-            "ast_nodes": report.ast_nodes,
-            "p1_s": round(statistics.median(s.phase_times.p1 for s in kept), 6),
-            "p2_s": round(statistics.median(s.phase_times.p2 for s in kept), 6),
-            "p3_s": round(statistics.median(s.phase_times.p3 for s in kept), 6),
-            "total_s": round(
-                statistics.median(s.phase_times.total for s in kept), 6
-            ),
-            "samples_kept": len(kept),
-            "components": report.counters.get("components", 0),
-            "channels": report.counters.get("channels", 0),
-            "sender_guards": report.counters.get("sender_guards", 0),
-            "signature_entries": report.counters.get("signature_entries", 0),
+            "name": outcome.name,
+            "degraded": outcome.degraded,
+            "prefiltered": hit.prefiltered,
+            "ast_nodes": outcome.ast_nodes,
+            **{
+                f"{phase}_s": round(outcome.times[phase], 6)
+                for phase in ("p1", "p2", "p3")
+            },
+            "total_s": round(outcome.total_time, 6),
+            "samples_kept": outcome.timing_samples,
+            **{
+                name: outcome.counters.get(name, 0)
+                for name in ("components", "channels", "sender_guards",
+                             "signature_entries")
+            },
         })
+    hits = sum(outcome.prefiltered for outcome in filtered)
     return {
-        "corpus": str(directory),
+        "corpus": str(Path(extensions_dir)),
         "extensions": extensions,
         "count": len(extensions),
         "prefilter_hits": hits,
         "prefilter_hit_rate": _hit_rate(hits, len(extensions)),
-        "identical_signatures": identical,
+        "identical_signatures": identical_signatures(filtered, timed),
     }
 
 
@@ -393,7 +375,7 @@ def run_bench(
     examples corpus (``examples/addons``) vetted with the relevance
     prefilter on and off — hit count/rate, both wall clocks, and a
     bit-identical-signatures check. Skipped (``None``) when the
-    examples directory is absent or empty.
+    examples directory is absent.
 
     Since v4 it also carries an ``incremental`` section — the versioned
     update pairs (``examples/addons/versions``) vetted with the
@@ -444,8 +426,6 @@ def run_bench(
     wall_s = time.perf_counter() - start
 
     addons = []
-    totals = {"p1_s": 0.0, "p2_s": 0.0, "p3_s": 0.0, "total_s": 0.0}
-    ok_count = 0
     for outcome in outcomes:
         entry: dict = {
             "name": outcome.name,
@@ -457,25 +437,19 @@ def run_bench(
         if outcome.degradations:
             entry["degradations"] = list(outcome.degradations)
         if outcome.ok and outcome.times is not None:
-            ok_count += 1
             entry.update(
                 verdict=outcome.verdict,
                 ast_nodes=outcome.ast_nodes,
-                p1_s=outcome.times["p1"],
-                p2_s=outcome.times["p2"],
-                p3_s=outcome.times["p3"],
+                **{f"{phase}_s": seconds for phase, seconds in outcome.times.items()},
                 total_s=outcome.total_time,
                 samples_kept=outcome.timing_samples,
                 counters=dict(outcome.counters),
             )
-            totals["p1_s"] += outcome.times["p1"]
-            totals["p2_s"] += outcome.times["p2"]
-            totals["p3_s"] += outcome.times["p3"]
-            totals["total_s"] += outcome.total_time
         else:
             entry["error"] = outcome.error
             entry["failure"] = outcome.failure
         addons.append(entry)
+    timed = [entry for entry in addons if "total_s" in entry]
 
     report = {
         "schema": SCHEMA,
@@ -490,9 +464,12 @@ def run_bench(
         "addons": addons,
         "corpus": {
             "count": len(addons),
-            "ok": ok_count,
+            "ok": len(timed),
             # Sum of per-addon median pipeline times (sequential cost)...
-            **{key: round(value, 6) for key, value in totals.items()},
+            **{
+                key: round(sum((entry[key] for entry in timed), 0.0), 6)
+                for key in ("p1_s", "p2_s", "p3_s", "total_s")
+            },
             # ...versus the batch engine's actual end-to-end wall clock.
             "wall_s": round(wall_s, 6),
         },
@@ -509,21 +486,9 @@ def run_bench(
         "webext": _bench_webext(extensions_dir, runs=runs),
     }
     if output is not None:
-        import json
-
-        from repro.store import atomic_write_json
-
         # A fleet section (written by ``addon-sig fleet``) rides along:
         # rewriting the bench sections must not drop it.
-        path = Path(output)
-        if path.exists():
-            try:
-                previous = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                previous = {}
-            if isinstance(previous, dict) and "fleet" in previous:
-                report["fleet"] = previous["fleet"]
-        atomic_write_json(path, report, fsync=False)
+        report = merge_report(output, report, keep=("fleet",))
     return report
 
 
@@ -619,25 +584,3 @@ def render_bench(report: dict) -> str:
             f"  robustness: failures [{failures}], degraded [{degraded}]"
         )
     return "\n".join(lines)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--k", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--output", default="BENCH_corpus.json")
-    parser.add_argument("--cache", action="store_true")
-    parser.add_argument("--timeout", type=float, default=None)
-    arguments = parser.parse_args()
-    report = run_bench(
-        runs=arguments.runs, k=arguments.k, workers=arguments.workers,
-        output=arguments.output, use_cache=arguments.cache,
-        timeout=arguments.timeout,
-    )
-    print(render_bench(report))
-    print(f"\nwritten to {arguments.output}")
-
-
-if __name__ == "__main__":
-    main()

@@ -41,6 +41,7 @@ widening-to-⊤ backstops termination regardless.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -130,10 +131,13 @@ def key_plus(left: KeyValue, right: KeyValue) -> KeyValue:
     return KEY_TOP
 
 
+@functools.cache
 def environment_global_names() -> frozenset[str]:
     """Every global name the analysis environments bind before the addon
     runs — enumerated from the *real* setup code, so new environment
-    globals can never silently drift out of the resolution blocklist."""
+    globals can never silently drift out of the resolution blocklist.
+    Computed once per process: building both environments costs
+    milliseconds, and the result is an immutable set."""
     from repro.analysis import builtins as analysis_builtins
     from repro.browser.chrome import WebExtEnvironment
     from repro.browser.env import BrowserEnvironment
@@ -149,16 +153,6 @@ def environment_global_names() -> frozenset[str]:
             name for scope, name in state.vars.keys() if scope == GLOBAL_SCOPE
         )
     return frozenset(names)
-
-
-_ENV_GLOBALS_CACHE: frozenset[str] | None = None
-
-
-def _env_globals() -> frozenset[str]:
-    global _ENV_GLOBALS_CACHE
-    if _ENV_GLOBALS_CACHE is None:
-        _ENV_GLOBALS_CACHE = environment_global_names()
-    return _ENV_GLOBALS_CACHE
 
 
 class ConstantStringEnv:
@@ -235,7 +229,7 @@ def solve_constraints(
     environment's globals.
     """
     blocked: set[str] = set(_ALWAYS_TOP_NAMES)
-    blocked.update(_env_globals())
+    blocked.update(environment_global_names())
     blocked.update(program_blocked)
 
     values: dict[str, KeyValue] = {}

@@ -33,6 +33,7 @@ replay summaries of each daemon restart.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue as queue_module
 import signal
@@ -45,9 +46,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.batch import VetTask
+from repro.evaluation.bench import tally
 from repro.evaluation.scaling import synthesize_flat
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.jobs import derive_job_id
+from repro.service.jobs import TERMINAL_STATES, derive_job_id
 
 
 # ----------------------------------------------------------------------
@@ -292,10 +294,7 @@ def _terminal_count(client: ServiceClient) -> int | None:
         states = client.stats()["queue"]["states"]
     except (ServiceUnavailable, Exception):
         return None
-    return sum(
-        states.get(state, 0)
-        for state in ("done", "failed", "cancelled", "poisoned")
-    )
+    return sum(states.get(state.value, 0) for state in TERMINAL_STATES)
 
 
 def _kill_one_worker(handle: DaemonHandle, log: ChaosLog,
@@ -378,12 +377,14 @@ def _chaos_thread(handle: DaemonHandle, total_jobs: int,
 
 
 def _percentiles(latencies: list[float]) -> dict:
+    """p50/p95/p99 in milliseconds by the nearest-rank rule: the
+    ``ceil(q·n)``-th smallest sample."""
     if not latencies:
         return {"p50_ms": None, "p95_ms": None, "p99_ms": None}
     ordered = sorted(latencies)
 
     def at(q: float) -> float:
-        index = min(len(ordered) - 1, int(q * len(ordered)))
+        index = max(1, math.ceil(q * len(ordered))) - 1
         return round(ordered[index] * 1000.0, 3)
 
     return {"p50_ms": at(0.50), "p95_ms": at(0.95), "p99_ms": at(0.99)}
@@ -455,14 +456,11 @@ def run_once(
         ]
         for chain in chains
     }
-    state_counts: dict[str, int] = {}
-    for state in states.values():
-        state_counts[state] = state_counts.get(state, 0) + 1
     return {
         "jobs": total_jobs,
         "wall_s": round(wall_s, 3),
         "latency": _percentiles([r.latency_s for r in results]),
-        "states": dict(sorted(state_counts.items())),
+        "states": tally(states.values()),
         "submit_errors": errors,
         "chaos": {
             "worker_kills": log.worker_kills,
@@ -490,7 +488,7 @@ def _check_runs(chains: list[Chain], control: dict, chaos: dict) -> dict:
     for chain in chains:
         for job_id in chain.job_ids():
             state = chaos["_states"].get(job_id)
-            if state not in ("done", "failed", "cancelled", "poisoned"):
+            if state not in TERMINAL_STATES:
                 lost.append({"job_id": job_id, "name": chain.name,
                              "state": state})
         expected = len(set(chain.sources))
@@ -643,46 +641,3 @@ def render_report(report: dict) -> str:
         f"→ {'OK' if checks['ok'] else 'FAIL'}"
     )
     return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="addon-sig service-bench",
-        description="chaos-test the vetting daemon end to end",
-    )
-    parser.add_argument("--jobs", type=int, default=50)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--submitters", type=int, default=4)
-    parser.add_argument("--worker-kills", type=int, default=2)
-    parser.add_argument("--daemon-kills", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--no-fsync", action="store_true",
-        help="run both daemons without fsync (faster; tests only)",
-    )
-    parser.add_argument(
-        "--state-dir", default=None,
-        help="keep the daemon state directories here for inspection",
-    )
-    parser.add_argument("--output", default="BENCH_service.json")
-    arguments = parser.parse_args(argv)
-    report = run_bench(
-        arguments.output,
-        jobs=arguments.jobs,
-        workers=arguments.workers,
-        submitters=arguments.submitters,
-        worker_kills=arguments.worker_kills,
-        daemon_kills=arguments.daemon_kills,
-        seed=arguments.seed,
-        fsync=not arguments.no_fsync,
-        state_dir=arguments.state_dir,
-    )
-    print(render_report(report))
-    print(f"wrote {arguments.output}")
-    return 0 if report["checks"]["ok"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

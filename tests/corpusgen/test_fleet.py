@@ -94,3 +94,15 @@ class TestFleetMerge:
         data = json.loads(output.read_text())
         assert data["fleet"]["count"] == report["count"]
         assert data["schema"].endswith("/v8")
+
+
+class TestFleetServiceArm:
+    def test_service_round_trip_matches_expected_signatures(self):
+        report = run_fleet(
+            6, seed=0, workers=1, update_count=2, service=True, output=None
+        )
+        assert report["service"]["addons"] == 6
+        assert report["service"]["ok"] == 6
+        assert report["service"]["wall_s"] > 0
+        assert report["verdict_mismatches"] == 0
+        assert report["mismatches"] == []

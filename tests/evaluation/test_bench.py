@@ -7,6 +7,7 @@ cheap.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,36 @@ class TestDegenerateCorpora:
         )
         assert report["prefilter"]["hit_rate"] is None
         assert "n/a" in render_bench(report)
+
+
+class TestSectionContract:
+    """An empty side corpus yields the same section shape as a real one,
+    with every rate null."""
+
+    EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+    @pytest.mark.parametrize("name, corpus, rates", [
+        ("prefilter", "addons", ("hit_rate",)),
+        ("preanalysis", "addons", (
+            "resolution_rate", "pruned_node_fraction",
+            "hit_rate_with_preanalysis", "hit_rate_without_preanalysis",
+        )),
+        ("incremental", "addons/versions", ("hit_rate",)),
+        ("webext", "extensions", ("prefilter_hit_rate",)),
+    ])
+    def test_empty_section_matches_the_real_one(
+        self, name, corpus, rates, tmp_path
+    ):
+        from repro.evaluation import bench
+
+        measure = getattr(bench, f"_bench_{name}")
+        real = measure(self.EXAMPLES / corpus)
+        empty = measure(tmp_path)
+        assert set(empty) == set(real)
+        for rate in rates:
+            assert real[rate] is not None
+            assert empty[rate] is None
+        assert empty["identical_signatures"]
 
 
 class TestFleetSectionPreservation:

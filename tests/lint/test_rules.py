@@ -184,6 +184,27 @@ def test_expand_paths_sorts_directory(tmp_path):
     assert [p.name for p in expanded] == ["a.js", "b.js"]
 
 
+def test_unbound_callee_builds_environments_once(monkeypatch):
+    """CG002 consults the environment's global names on every file; the
+    environments behind them are built at most once per process. (The
+    WebExtensions environment extends the browser one through
+    ``super().setup``, so only plain browser environments are counted.)"""
+    from repro.browser.env import BrowserEnvironment
+
+    calls = []
+    original = BrowserEnvironment.setup
+
+    def counting_setup(self, *args, **kwargs):
+        if type(self) is BrowserEnvironment:
+            calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrowserEnvironment, "setup", counting_setup)
+    assert "CG002" in _rules_of("undefinedHelper(1);")
+    assert "CG002" in _rules_of("anotherMissingHelper(2);")
+    assert len(calls) <= 1
+
+
 if __name__ == "__main__":  # golden-file regeneration helper
     GOLDEN.write_text(TestGoldenReport()._report_text(), encoding="utf-8")
     print(f"regenerated {GOLDEN}")

@@ -66,6 +66,17 @@ class TestPercentiles:
         assert result["p50_ms"] == 50.0
         assert result["p99_ms"] == 100.0
 
+    def test_nearest_rank_on_one_to_a_hundred_ms(self):
+        values = [ms / 1000.0 for ms in range(100, 0, -1)]
+        assert _percentiles(values) == {
+            "p50_ms": 50.0, "p95_ms": 95.0, "p99_ms": 99.0,
+        }
+
+    def test_median_of_two_samples_is_the_smaller(self):
+        result = _percentiles([0.002, 0.001])
+        assert result["p50_ms"] == 1.0
+        assert result["p99_ms"] == 2.0
+
 
 def _run(states, outcomes, version_chains):
     return {
